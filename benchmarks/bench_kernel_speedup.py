@@ -8,7 +8,7 @@ validation the engine already passed).  The batch evaluation kernel and one
 end-to-end sweep are measured alongside: the sweep must show a measurable
 win (>= 10%) because the DP tables dominate its profile.
 
-When no compiled engine is available (no numba, no C compiler, or
+When no compiled engine is available (no C compiler, or
 ``REPRO_KERNELS_DISABLE``), the suite **skips with the recorded reason**
 rather than failing — graceful fallback is part of the contract and CI runs
 a leg in exactly that configuration.

@@ -30,7 +30,6 @@ from pathlib import Path
 from bench_utils import write_report
 from repro.experiments.sweep import run_sweep, sweep_results_equal
 from repro.generators.experiments import experiment_config
-from repro.solvers.frontier import frontier_enabled
 
 #: the swept solvers: the strongest heuristic pair of the paper, whose
 #: O(n^2) first-split search dominates each run — exactly the profile the
@@ -121,18 +120,7 @@ def check(data: dict, *, smoke: bool = False) -> None:
         )
 
 
-def _skip_reason() -> str | None:
-    if not frontier_enabled():
-        return "frontier routing disabled (REPRO_DISABLE_FRONTIER)"
-    return None
-
-
 def test_frontier_sweep_is_5x_faster():
-    import pytest
-
-    reason = _skip_reason()
-    if reason:
-        pytest.skip(reason)
     data = measure()
     persist(data)
     check(data)
@@ -140,7 +128,6 @@ def test_frontier_sweep_is_5x_faster():
 
 if __name__ == "__main__":
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="gate the frontier-solve layer: >= 5x on a "
@@ -151,10 +138,6 @@ if __name__ == "__main__":
         help="smaller instances and no ratio gate (identity still asserted)",
     )
     cli_args = parser.parse_args()
-    reason = _skip_reason()
-    if reason:
-        print(f"SKIP: {reason}")
-        sys.exit(0)
     bench_data = measure(smoke=cli_args.smoke)
     print(render(bench_data))
     persist(bench_data)

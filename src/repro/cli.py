@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--thresholds", type=_positive_int_arg, default=10,
                        help="number of threshold values per heuristic family")
     sweep.add_argument("--frontier", dest="frontier", action="store_true",
-                       default=None,
+                       default=True,
                        help="answer each frontier-capable solver's whole "
                             "threshold grid from one frontier solve per "
                             "instance (the default; the report is "

@@ -3,7 +3,7 @@
 ``repro.core.kernels`` owns the inner loops of the homogeneous DP solvers
 and the batch cost evaluator, each available in three interchangeable
 backends — ``numpy`` (the reference oracle), ``scalar`` (the original
-Python loops), and ``compiled`` (numba or a ctypes-loaded C library,
+Python loops), and ``compiled`` (a ctypes-loaded C library,
 validated bit-for-bit against the reference at load time and falling back
 to numpy when no engine is available).
 
@@ -15,7 +15,6 @@ from .dispatch import (
     BACKENDS,
     ELEMENTWISE_COMPILED_MIN,
     active_backend,
-    backend_from_flags,
     backend_info,
     batch_terms,
     compiled_engine,
@@ -39,7 +38,6 @@ __all__ = [
     "set_active_backend",
     "use_backend",
     "resolve_backend",
-    "backend_from_flags",
     "compiled_engine",
     "compiled_unavailable_reason",
     "backend_info",

@@ -1,7 +1,6 @@
 """The ``cc`` compiled engine: a tiny C library JIT-built with the system compiler.
 
-When numba is absent (the common case in minimal containers) the compiled
-backend falls back to this engine: the four hot-path kernels are compiled
+The engine behind the compiled backend: the four hot-path kernels are compiled
 once from the embedded C source into a shared library cached under the user
 cache directory, keyed by the SHA-256 of the source — editing the source
 below automatically invalidates the cached binary.

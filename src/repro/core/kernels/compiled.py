@@ -1,21 +1,21 @@
-"""Compiled-engine selection: numba first, then the ``cc`` C library, else none.
+"""Compiled-engine selection: the ``cc`` C library, else none.
 
 The ``compiled`` backend name is a *request*, not a guarantee: this module
-decides per process which concrete engine serves it.
+decides per process whether the concrete engine can serve it.
 
-* Selection order: ``numba`` (when importable and jit-compilable), then
-  ``cc`` (the embedded C library built with the system compiler), gated by
-  ``REPRO_KERNELS_DISABLE`` — ``all``/``1`` disables every engine, a comma
-  list (``numba``, ``cc``) disables specific ones.  CI's no-numba leg sets
-  ``REPRO_KERNELS_DISABLE=all`` to prove the numpy fallback end to end.
-* Every candidate engine is **validated before adoption**: its four kernels
-  run on a small fixed instance and must reproduce the numpy reference
+* The one engine is ``cc`` (the embedded C library built with the system
+  compiler), gated by ``REPRO_KERNELS_DISABLE`` — ``all``/``1`` or ``cc``
+  disables it.  CI's disabled leg sets ``REPRO_KERNELS_DISABLE=all`` to
+  prove the numpy fallback end to end.
+* The engine is **validated before adoption**: its four kernels run on a
+  small fixed instance and must reproduce the numpy reference
   (:mod:`repro.core.kernels.reference`) bit for bit.  A mismatching or
   crashing engine is rejected with a recorded reason, exactly like a
   missing one.
-* When no engine survives, the dispatch layer silently serves ``compiled``
-  requests with the numpy kernels and :func:`unavailable_reason` explains
-  why — graceful fallback, never an error.
+* When the engine is rejected, the dispatch layer silently serves
+  ``compiled`` requests with the numpy kernels and
+  :func:`unavailable_reason` explains why — graceful fallback, never an
+  error.
 
 The decision is cached per process; forked pool workers inherit it, and a
 fresh worker re-runs the same deterministic selection.
@@ -41,7 +41,7 @@ def _disabled() -> set[str]:
     if not raw:
         return set()
     if raw in ("1", "all", "true", "compiled"):
-        return {"numba", "cc"}
+        return {"cc"}
     return {token.strip() for token in raw.split(",") if token.strip()}
 
 
@@ -103,26 +103,19 @@ def _validate(funcs: dict) -> None:
 
 
 def _select() -> dict:
-    """Try the engines in preference order; record why the losers lost."""
-    disabled = _disabled()
-    reasons: list[str] = []
-    loaders = []
-    from . import _cc, _numba
+    """Load and validate the C engine; record why it was rejected."""
+    if "cc" in _disabled():
+        reason = "cc: disabled via REPRO_KERNELS_DISABLE"
+        return {"name": None, "functions": None, "reason": reason}
+    from . import _cc
 
-    for name, module in (("numba", _numba), ("cc", _cc)):
-        loaders.append((name, module.load))
-    for name, loader in loaders:
-        if name in disabled:
-            reasons.append(f"{name}: disabled via REPRO_KERNELS_DISABLE")
-            continue
-        try:
-            funcs = loader()
-            _validate(funcs)
-        except Exception as exc:  # noqa: BLE001 - any failure means fallback
-            reasons.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        return {"name": name, "functions": funcs, "reason": None}
-    return {"name": None, "functions": None, "reason": "; ".join(reasons)}
+    try:
+        funcs = _cc.load()
+        _validate(funcs)
+    except Exception as exc:  # noqa: BLE001 - any failure means fallback
+        reason = f"cc: {type(exc).__name__}: {exc}"
+        return {"name": None, "functions": None, "reason": reason}
+    return {"name": "cc", "functions": funcs, "reason": None}
 
 
 def _state() -> dict:

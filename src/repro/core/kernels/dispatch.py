@@ -16,7 +16,7 @@ Backends:
     The original Python loops (the historical ``vectorized=False``),
     kept as the independently-auditable baseline.
 ``compiled``
-    numba or the built-in C library (:mod:`repro.core.kernels.compiled`),
+    the built-in C library (:mod:`repro.core.kernels.compiled`),
     bit-identical to ``numpy`` by validation; silently served by the numpy
     kernels when no engine is available (see
     :func:`compiled_unavailable_reason`).
@@ -42,7 +42,6 @@ __all__ = [
     "set_active_backend",
     "use_backend",
     "resolve_backend",
-    "backend_from_flags",
     "compiled_engine",
     "compiled_unavailable_reason",
     "backend_info",
@@ -160,26 +159,8 @@ def resolve_backend(backend: str | None) -> str:
     return _ACTIVE if backend is None else _validated(backend)
 
 
-def backend_from_flags(
-    backend: str | None, vectorized: bool | None
-) -> str:
-    """Merge the modern ``backend=`` knob with the legacy ``vectorized=`` flag.
-
-    ``vectorized=True`` means ``numpy``, ``False`` means ``scalar``
-    (byte-compatible with the historical homogeneous-DP signatures);
-    passing both knobs is a configuration error.
-    """
-    if vectorized is None:
-        return resolve_backend(backend)
-    if backend is not None:
-        raise ConfigurationError(
-            "pass either backend= or the legacy vectorized= flag, not both"
-        )
-    return "numpy" if vectorized else "scalar"
-
-
 def compiled_engine() -> str | None:
-    """Concrete engine behind ``compiled`` (``numba``/``cc``/``None``)."""
+    """Concrete engine behind ``compiled`` (``cc``/``None``)."""
     from . import compiled
 
     return compiled.engine_name()

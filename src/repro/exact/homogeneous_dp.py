@@ -20,10 +20,9 @@ Both DPs dispatch their ``O(n^2)`` inner loops through
 :mod:`repro.core.kernels` behind a single ``backend`` knob: ``numpy`` (the
 broadcast/reduce reference, one ``(n, n)`` candidate matrix per processor
 level), ``scalar`` (the original Python loops, the historical
-``vectorized=False``), and ``compiled`` (numba or the built-in C library,
-validated bit-for-bit against the numpy tables).  The legacy ``vectorized=``
-flag is still accepted; ``benchmarks/bench_kernel_speedup.py`` records the
-backend speedups and the tests assert all paths agree.
+``vectorized=False``), and ``compiled`` (the built-in C library, validated
+bit-for-bit against the numpy tables).  ``benchmarks/bench_kernel_speedup.py``
+records the backend speedups and the tests assert all paths agree.
 """
 
 from __future__ import annotations
@@ -172,11 +171,10 @@ def homogeneous_min_period(
     app: PipelineApplication,
     platform: Platform,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal-period interval mapping on a fully homogeneous platform."""
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
     if resolved == "scalar":
@@ -198,11 +196,10 @@ def homogeneous_min_latency_for_period(
     platform: Platform,
     period_bound: float,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal latency subject to ``period <= period_bound`` (homogeneous case)."""
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
     if resolved == "scalar":
@@ -233,7 +230,6 @@ def homogeneous_min_period_for_latency(
     platform: Platform,
     latency_bound: float,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal period subject to ``latency <= latency_bound`` (homogeneous case).
@@ -242,7 +238,7 @@ def homogeneous_min_period_for_latency(
     exact binary search over the sorted candidate values is performed, using
     :func:`homogeneous_min_latency_for_period` as the feasibility oracle.
     """
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     if resolved == "scalar":
         cycle = _cycle_matrix_scalar(app, platform)
     else:

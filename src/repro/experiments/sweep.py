@@ -164,7 +164,7 @@ def run_sweep(
     workers: int | None = None,
     batch_size: int | None = None,
     cache: "SolveCache | None" = None,
-    frontier: bool | None = None,
+    frontier: bool = True,
 ) -> SweepResult:
     """Reproduce one latency-versus-period figure panel (Figs. 2–7).
 
@@ -204,9 +204,7 @@ def run_sweep(
         so the engine collapses those cells to one frontier solve per
         (instance, solver) and extracts the per-threshold results — curves
         stay bit-identical (``sweep_results_equal``), the wall clock drops
-        by roughly the grid size.  ``None`` (default) enables the routing,
-        ``False`` forces per-threshold solves, and ``REPRO_DISABLE_FRONTIER``
-        in the environment disables it regardless.
+        by roughly the grid size.  ``False`` forces per-threshold solves.
     """
     if instances is None:
         instances = generate_instances(config, seed=seed)

@@ -4,7 +4,6 @@ The scenario layer earns trust in the solver stack the way the related
 structural-analysis reproductions do: by validating against large randomised
 samples instead of hand-picked examples.  It is organised bottom-up:
 
-* :mod:`~repro.scenarios.hashing` — canonical instance identity;
 * :mod:`~repro.scenarios.families` — parameterised scenario families
   (homogeneous/heterogeneous chains, degenerate and adversarial corners) and
   deterministic stream generation, including experiment-layer glue;
@@ -16,8 +15,12 @@ samples instead of hand-picked examples.  It is organised bottom-up:
 * :mod:`~repro.scenarios.harness` — :func:`run_fuzz`, streaming thousands of
   scenarios through the oracle on the shared process pool (the CLI ``fuzz``
   subcommand).
+
+Canonical instance identity lives in :mod:`repro.core.identity`; its two
+entry points are re-exported here for the scenario layer's callers.
 """
 
+from ..core.identity import canonical_instance_document, instance_digest
 from .corpus import (
     CORPUS_SCHEMA,
     CorpusEntry,
@@ -39,7 +42,6 @@ from .families import (
     scenario_sweep_config,
 )
 from .harness import Counterexample, FuzzReport, render_fuzz_report, run_fuzz
-from .hashing import canonical_instance_document, instance_digest
 from .shrink import ShrinkResult, shrink_instance
 
 __all__ = [

@@ -39,12 +39,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.application import PipelineApplication
+from ..core.identity import instance_digest
 from ..core.platform import Platform
 from ..generators.experiments import ExperimentConfig, Instance
 from ..utils.parallel import parallel_map
 from ..utils.rng import spawn_seed_sequences
 from ..utils.validation import suggest_names
-from .hashing import instance_digest
 
 __all__ = [
     "Scenario",
@@ -73,7 +73,7 @@ class Scenario:
 
     @property
     def digest(self) -> str:
-        """Canonical instance hash (see :mod:`repro.scenarios.hashing`)."""
+        """Canonical instance hash (see :mod:`repro.core.identity`)."""
         return instance_digest(self.application, self.platform)
 
 

@@ -12,7 +12,7 @@ Two ideas, one data structure:
   one.  The first arrival opens a short window (``window`` seconds);
   everything that arrives before it closes — or before ``max_batch`` tasks
   accumulate — is flushed as one batch, which the daemon pushes through
-  :func:`repro.solvers.service.solve_many` so the shared-memory arena,
+  :func:`repro.solvers.service.solve_frontier_many` so the shared-memory arena,
   the worker pool and the dedupe/cache probe amortise across clients.
 
 The coalescer is a pure asyncio object: it never touches sockets or
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Awaitable, Callable
 
 from ..cache.keys import solve_key
-from ..solvers.frontier import frontier_eligible, frontier_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking imports only
     from ..core.application import PipelineApplication
@@ -49,24 +48,6 @@ class PendingSolve:
     request: "SolveRequest"
     digest: str
     future: "asyncio.Future[SolveResult]" = field(repr=False)
-
-    @property
-    def group_key(self) -> tuple[str, Any]:
-        """Tasks sharing (solver, request) batch into one solve_many call.
-
-        Frontier-eligible tasks (a frontier-capable solver asked a
-        threshold-only question) drop the threshold from the key and group
-        by (solver, objective) instead: concurrent requests that differ
-        only in their threshold land in *one* group, which the daemon then
-        answers through a single frontier solve per instance
-        (:func:`repro.solvers.service.solve_frontier_many`).  The tuple
-        shapes cannot collide — the second element is a ``SolveRequest``
-        on the legacy path and a plain objective string on the frontier
-        path.
-        """
-        if frontier_enabled() and frontier_eligible(self.handle, self.request):
-            return (self.handle.name, self.request.objective)
-        return (self.handle.name, self.request)
 
 
 class SolveCoalescer:

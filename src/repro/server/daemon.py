@@ -10,9 +10,9 @@ One :class:`SolverDaemon` owns exactly one of each expensive resource —
   identical in-air requests and micro-batches distinct ones,
 
 and serves newline-delimited JSON (see :mod:`.protocol`) over a unix
-socket.  Flushed batches are grouped by (solver, request) and pushed
-through :func:`repro.solvers.service.solve_many` on an executor thread, so
-the event loop keeps accepting and coalescing while solves run.
+socket.  Each flushed batch is one
+:func:`repro.solvers.service.solve_frontier_many` call on an executor
+thread, so the event loop keeps accepting and coalescing while solves run.
 
 Shutdown is a graceful drain: on SIGTERM (or :meth:`SolverDaemon.
 request_drain`) the listening socket closes, in-flight operations run to
@@ -32,7 +32,6 @@ import os
 import signal
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +43,7 @@ from ..core import kernels
 from ..core.exceptions import ReproError
 from ..solvers.base import SolveResult
 from ..solvers.registry import get_solver
-from ..solvers.service import solve_frontier_many, solve_many
+from ..solvers.service import solve_frontier_many
 from ..utils.parallel import WorkerPool
 from .coalescer import PendingSolve, SolveCoalescer
 from .protocol import (
@@ -95,7 +94,7 @@ class SolverDaemon:
             self._execute_batch, window=config.window, max_batch=config.max_batch
         )
         self._pool: WorkerPool | None = None
-        # one solver thread: groups execute sequentially (the machine's
+        # one solver thread: batches execute sequentially (the machine's
         # parallelism lives in the worker pool), and the event loop stays
         # free to accept, coalesce and stream while a batch computes
         self._executor = ThreadPoolExecutor(
@@ -115,12 +114,10 @@ class SolverDaemon:
         self.n_solved = 0
         self.n_cache_hits = 0
         self.n_errors = 0
-        # frontier accounting: distinct-threshold groups answered through
-        # solve_frontier_many, the threshold queries they covered, and a
-        # {thresholds-per-group: count} histogram (the amortisation shape)
+        # frontier accounting: (instance, solver) groups answered by one
+        # frontier solve, and the threshold queries they covered
         self.n_frontier_groups = 0
         self.n_frontier_thresholds = 0
-        self.frontier_group_sizes: Counter[int] = Counter()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -398,78 +395,48 @@ class SolverDaemon:
         return result, "cache" if result.cache_hit else "solved"
 
     async def _execute_batch(self, batch: list[PendingSolve]) -> None:
-        """Coalescer callback: run one flushed batch through solve_many.
+        """Coalescer callback: run one flushed batch through the service.
 
-        Tasks are grouped by (solver, request) — one bounds-set per
-        :func:`solve_many` call — and each group runs on the executor
-        thread so the loop stays responsive; all grouped instances share
-        one dedupe/cache probe/shard pass and the persistent pool.
+        The whole batch is one :func:`solve_frontier_many` call — one
+        dedupe/cache probe/route/shard pass over the persistent pool, with
+        same-instance threshold spreads answered by one frontier solve.  If
+        that call raises, the batch's tasks re-run one by one, so only the
+        failing request gets an error.
         """
-        loop = asyncio.get_running_loop()
-        groups: dict[tuple[str, Any], list[PendingSolve]] = {}
-        for task in batch:
-            groups.setdefault(task.group_key, []).append(task)
-        for tasks in groups.values():
-            # several distinct requests in one group can only come from the
-            # frontier-aware group key (the legacy key pins the full
-            # request), so the threshold spread routes through one frontier
-            # solve per instance; a single-request group takes the legacy
-            # path even on a frontier-capable solver
-            n_requests = len({task.request for task in tasks})
-            use_frontier = n_requests > 1
-            body = self._solve_frontier_group if use_frontier else self._solve_group
-            try:
-                results, stats = await loop.run_in_executor(
-                    self._executor, partial(body, tasks)
-                )
-            except Exception as exc:  # noqa: BLE001 - fan the failure out
-                for task in tasks:
+        try:
+            await self._solve(batch)
+        except Exception:  # noqa: BLE001 - isolate the failing task(s)
+            if len(batch) == 1:
+                raise  # the coalescer hands it to the waiter
+            for task in batch:
+                try:
+                    await self._solve([task])
+                except Exception as exc:  # noqa: BLE001 - this task's error
                     if not task.future.done():
                         task.future.set_exception(exc)
-                continue
-            self.n_solved += stats.n_solved
-            self.n_cache_hits += stats.n_cache_hits
-            if use_frontier:
-                self.n_frontier_groups += 1
-                self.n_frontier_thresholds += n_requests
-                self.frontier_group_sizes[n_requests] += 1
-            for task, result in zip(tasks, results):
-                if not task.future.done():
-                    task.future.set_result(result)
 
-    def _solve_group(self, tasks: list[PendingSolve]):
-        """Executor-thread body: one solve_many call for one group."""
-        request = tasks[0].request
-        outcome = solve_many(
-            [(task.application, task.platform) for task in tasks],
-            [tasks[0].handle],
-            period_bound=request.period_bound,
-            latency_bound=request.latency_bound,
-            max_steps=getattr(request, "max_steps", None),
-            time_budget=getattr(request, "time_budget", None),
-            workers=self.config.workers,
-            batch_size=self.config.batch_size,
-            cache=self.cache,
-            pool=self._pool,
+    async def _solve(self, tasks: list[PendingSolve]) -> None:
+        """Solve ``tasks`` on the executor thread and resolve their futures."""
+        results, stats = await asyncio.get_running_loop().run_in_executor(
+            self._executor,
+            partial(
+                solve_frontier_many,
+                [
+                    ((task.application, task.platform), task.handle, task.request)
+                    for task in tasks
+                ],
+                batch_size=self.config.batch_size,
+                cache=self.cache,
+                pool=self._pool,
+            ),
         )
-        return [row[0] for row in outcome.results], outcome.stats
-
-    def _solve_frontier_group(self, tasks: list[PendingSolve]):
-        """Executor-thread body: one frontier-routed group (many thresholds)."""
-        return solve_frontier_many(
-            [
-                (
-                    (task.application, task.platform),
-                    float(task.request.threshold),
-                )
-                for task in tasks
-            ],
-            tasks[0].handle,
-            workers=self.config.workers,
-            batch_size=self.config.batch_size,
-            cache=self.cache,
-            pool=self._pool,
-        )
+        self.n_solved += stats.n_solved
+        self.n_cache_hits += stats.n_cache_hits
+        self.n_frontier_groups += stats.n_frontier_groups
+        self.n_frontier_thresholds += stats.n_frontier_extracted
+        for task, result in zip(tasks, results):
+            if not task.future.done():
+                task.future.set_result(result)
 
     # ------------------------------------------------------------------ #
     # stats
@@ -501,10 +468,6 @@ class SolverDaemon:
             "frontier": {
                 "n_groups": self.n_frontier_groups,
                 "n_thresholds": self.n_frontier_thresholds,
-                "group_sizes": {
-                    str(size): count
-                    for size, count in sorted(self.frontier_group_sizes.items())
-                },
             },
             "cache": self.cache.stats_snapshot(),
             "cache_entries": len(self.cache),

@@ -41,15 +41,10 @@ The documents are JSON-safe dictionaries, so the cache layer
 (:mod:`repro.cache`) stores them as content-addressed blobs under a
 threshold-free key (:func:`repro.cache.keys.frontier_key`): one warm entry
 serves *any* threshold.
-
-``REPRO_DISABLE_FRONTIER`` (any non-empty value) disables frontier routing
-everywhere — the service, the workload engine and the daemon fall back to
-per-threshold solves — mirroring the ``REPRO_BACKEND`` kernel knobs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -70,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-checking imports only
 
 __all__ = [
     "FRONTIER_SCHEMA",
-    "frontier_enabled",
     "frontier_eligible",
     "compute_steps_frontier",
     "extract_result",
@@ -87,17 +81,6 @@ _REL_TOL = 1e-9
 
 #: the bounded objectives a frontier can sweep
 _BOUNDED = (Objective.MIN_LATENCY_FOR_PERIOD, Objective.MIN_PERIOD_FOR_LATENCY)
-
-
-def frontier_enabled() -> bool:
-    """Whether frontier routing is enabled (the env kill-switch, read live).
-
-    ``REPRO_DISABLE_FRONTIER`` set to any non-empty value disables the
-    frontier layer process-wide, whatever flags call sites pass — the same
-    escape hatch pattern as the kernel backend knobs.  Results are
-    byte-identical either way; only the amortisation is lost.
-    """
-    return not os.environ.get("REPRO_DISABLE_FRONTIER", "").strip()
 
 
 def frontier_eligible(solver: "Solver", request: Any) -> bool:

@@ -1,8 +1,9 @@
-"""Batch solve service: dedupe, memoise, shard — one entry point for fleets.
+"""Batch solve service: dedupe, memoise, route, shard — one task pipeline.
 
-:func:`solve_many` is the service layer on top of the unified registry and
-the solve cache (:mod:`repro.cache`): given an instance stream and a solver
-selection it
+Two front-ends share one private core (:func:`_solve_tasks`):
+:func:`solve_many` takes an instance stream and a solver selection (the
+cartesian, per-threshold shape), :func:`solve_frontier_many` takes a mixed
+list of ``(instance, solver, request)`` triples.  Either way the core
 
 1. **dedupes** identical ``(instance, solver, request)`` tasks up front —
    instance identity is the canonical digest of
@@ -11,10 +12,16 @@ selection it
 2. **probes the cache** for every unique task (when a cache is given),
    so work done by a previous batch, a previous process, or another worker
    sharing the same ``--cache-dir`` is never repeated;
-3. **shards only the cache misses** across the process pool
-   (:func:`repro.utils.parallel.parallel_map`);
-4. **back-fills** results in input order, so the output shape is simply
-   ``results[instance][solver]``.
+3. **routes** the misses with one rule: the frontier-eligible misses of
+   one (instance, solver) asking two or more thresholds become one
+   :func:`~repro.solvers.frontier.frontier_solve` group, everything else
+   runs direct;
+4. **dispatches** every unit in one pool map
+   (:func:`repro.utils.parallel.parallel_map` or a persistent
+   :class:`~repro.utils.parallel.WorkerPool`), shipping instances as
+   shared-memory refs when pooled;
+5. **back-fills** results in input order and memoises them (frontier
+   documents included).
 
 Determinism contract (the same one the experiment engine honours): the
 returned solutions are byte-identical — through
@@ -29,16 +36,16 @@ oracle, the failure-threshold probes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..cache.keys import CacheKey, frontier_key, solve_key
 from ..core import kernels
-from ..core.exceptions import ConfigurationError
 from ..core.identity import instance_digest
 from ..utils.parallel import WorkerPool, parallel_map, resolve_worker_count
-from ..utils.shm import InstanceArena, InstanceRef, resolve_instance
-from .base import Objective, SolveRequest, SolveResult
+from ..utils.shm import InstanceArena, resolve_instance
+from .base import SolveRequest, SolveResult
 from .frontier import frontier_eligible, frontier_solve
 from .registry import Solver, as_solver, resolve_solvers
 
@@ -104,10 +111,9 @@ def solve_with_cache(
 class BatchStats:
     """How much work a :func:`solve_many` call actually had to do.
 
-    The ``n_frontier_*`` fields are populated by
-    :func:`solve_frontier_many` only (they default to zero on the
-    per-threshold path): ``n_frontier_groups`` counts the instances routed
-    through a frontier document, ``n_frontier_extracted`` the threshold
+    The ``n_frontier_*`` fields stay zero on the per-threshold path of
+    :func:`solve_many`: ``n_frontier_groups`` counts the (instance, solver)
+    groups routed through a frontier document, ``n_frontier_extracted`` the threshold
     queries those documents answered, and ``n_solved`` then counts the
     *underlying* full solver runs — the amortisation is their ratio.
     """
@@ -149,33 +155,6 @@ class BatchResult:
         return tuple(row[j] for row in self.results)
 
 
-def _solve_task(
-    task: tuple[Solver, "PipelineApplication", "Platform", SolveRequest],
-) -> SolveResult:
-    """One unique (solver, instance, request) cell (module-level, picklable)."""
-    handle, app, platform, request = task
-    return handle.solve(app, platform, request)
-
-
-def _solve_ref_task(
-    task: tuple[Solver, InstanceRef, SolveRequest],
-) -> SolveResult:
-    """A unique cell whose instance travels by shared-memory reference.
-
-    The ref resolves against the worker's installed
-    :class:`~repro.utils.shm.InstanceShipment`; the pair is rehydrated at
-    most once per worker and memoised, so a worker that solves the same
-    instance for many solvers or thresholds deserialises it exactly once.
-    """
-    handle, ref, request = task
-    app, platform = resolve_instance(ref)
-    return handle.solve(app, platform, request)
-
-
-#: valid values of the ``transport`` knob of :func:`solve_many`
-_TRANSPORTS = ("auto", "shm", "pickle")
-
-
 def _resolve_handles(solvers: Any) -> list[Solver]:
     """Solver selection -> handles (group string, names, handles, heuristics)."""
     if solvers is None or isinstance(solvers, str):
@@ -197,7 +176,6 @@ def solve_many(
     batch_size: int | None = None,
     cache: "SolveCache | None" = None,
     backend: str | None = None,
-    transport: str = "auto",
     pool: WorkerPool | None = None,
 ) -> BatchResult:
     """Solve every instance with every selected solver, doing minimal work.
@@ -234,57 +212,19 @@ def solve_many(
         Kernel backend (:mod:`repro.core.kernels`) active for the whole
         batch, in the parent and every worker; ``None`` keeps the current
         active backend.  Results are byte-identical across ``numpy`` and
-        ``compiled`` (the compiled engines are validated bit-for-bit), so
+        ``compiled`` (the compiled engine is validated bit-for-bit), so
         the backend is stamped on results as provenance but excluded from
         cache keys.
-    transport:
-        How instances reach pool workers: ``"auto"`` publishes the unique
-        cache-missing instances once into a shared-memory arena
-        (:mod:`repro.utils.shm`) and ships digest-sized refs per task,
-        ``"pickle"`` forces the legacy per-task instance pickling,
-        ``"shm"`` forces the arena even for serial runs (tests).
     pool:
         A persistent :class:`~repro.utils.parallel.WorkerPool` to ship the
         cache misses through instead of the per-call pool — the solver
         daemon holds one across requests so batches never re-pay worker
         start-up.  When given, the pool's worker count wins over
         ``workers=``; results stay byte-identical either way.
+
+    Every solver asks one question per instance here, so no task is ever
+    frontier-routed: this is the per-threshold reference path.
     """
-    if transport not in _TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; expected one of {', '.join(_TRANSPORTS)}"
-        )
-    with kernels.use_backend(backend):
-        return _solve_many_active(
-            instances,
-            solvers,
-            period_bound=period_bound,
-            latency_bound=latency_bound,
-            max_steps=max_steps,
-            time_budget=time_budget,
-            workers=workers,
-            batch_size=batch_size,
-            cache=cache,
-            transport=transport,
-            pool=pool,
-        )
-
-
-def _solve_many_active(
-    instances: Sequence[Any],
-    solvers: Any,
-    *,
-    period_bound: float | None,
-    latency_bound: float | None,
-    max_steps: int | None,
-    time_budget: float | None,
-    workers: int | None,
-    batch_size: int | None,
-    cache: "SolveCache | None",
-    transport: str,
-    pool: WorkerPool | None = None,
-) -> BatchResult:
-    """The batch pipeline, run under the already-active kernel backend."""
     pairs = [as_instance_pair(item) for item in instances]
     handles = _resolve_handles(solvers)
     requests = [
@@ -296,132 +236,26 @@ def _solve_many_active(
         )
         for handle in handles
     ]
-
-    # -- dedupe: one slot per distinct (instance digest, solver column) ---- #
-    slot_of: dict[tuple[str, int], int] = {}
-    unique_tasks: list[tuple[Solver, Any, Any, SolveRequest]] = []
-    assignment: list[list[int]] = []
-    for app, platform in pairs:
-        digest = None
-        row: list[int] = []
-        for j, handle in enumerate(handles):
-            if digest is None:
-                digest = instance_digest(app, platform)
-            task_key = (digest, j)
-            slot = slot_of.get(task_key)
-            if slot is None:
-                slot = len(unique_tasks)
-                slot_of[task_key] = slot
-                unique_tasks.append((handle, app, platform, requests[j]))
-            row.append(slot)
-        assignment.append(row)
-
-    # -- probe the cache; only misses reach the pool ----------------------- #
-    unique_results: list[SolveResult | None] = [None] * len(unique_tasks)
-    keys: list[CacheKey | None] = [None] * len(unique_tasks)
-    misses: list[int] = []
-    n_cache_hits = 0
-    for u, (handle, app, platform, request) in enumerate(unique_tasks):
-        if cache is not None and handle.cacheable and request.time_budget is None:
-            keys[u] = solve_key(app, platform, handle, request)
-            unique_results[u] = cache.get(keys[u])
-        if unique_results[u] is None:
-            misses.append(u)
-        else:
-            n_cache_hits += 1
-
-    # -- ship the misses: shared-memory refs when pooling, objects serially - #
-    n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
-    use_arena = transport == "shm" or (
-        transport == "auto" and n_workers > 1 and len(misses) > 1
-    )
-    if use_arena:
-        with InstanceArena(
-            (unique_tasks[u][1], unique_tasks[u][2]) for u in misses
-        ) as arena:
-            ref_tasks = [
-                (
-                    unique_tasks[u][0],
-                    arena.ref(unique_tasks[u][1], unique_tasks[u][2]),
-                    unique_tasks[u][3],
-                )
-                for u in misses
-            ]
-            if pool is not None:
-                solved = pool.map(
-                    _solve_ref_task,
-                    ref_tasks,
-                    batch_size=batch_size,
-                    payload=arena.shipment(),
-                )
-            else:
-                solved = parallel_map(
-                    _solve_ref_task,
-                    ref_tasks,
-                    workers=workers,
-                    batch_size=batch_size,
-                    payload=arena.shipment(),
-                )
-    elif pool is not None:
-        solved = pool.map(
-            _solve_task,
-            [unique_tasks[u] for u in misses],
-            batch_size=batch_size,
+    tasks = []
+    for pair in pairs:
+        digest = instance_digest(*pair)
+        tasks += [(pair, digest, handle, request) for handle, request in zip(handles, requests)]
+    with kernels.use_backend(backend):
+        flat, stats = _solve_tasks(
+            tasks, workers=workers, batch_size=batch_size, cache=cache, pool=pool
         )
-    else:
-        solved = parallel_map(
-            _solve_task,
-            [unique_tasks[u] for u in misses],
-            workers=workers,
-            batch_size=batch_size,
-        )
-    for u, result in zip(misses, solved):
-        unique_results[u] = result
-        if cache is not None and keys[u] is not None:
-            cache.put(keys[u], result)
-
-    # -- back-fill in input order ------------------------------------------ #
-    results = tuple(
-        tuple(unique_results[slot] for slot in row) for row in assignment
-    )
-    stats = BatchStats(
-        n_instances=len(pairs),
-        n_solvers=len(handles),
-        n_tasks=len(pairs) * len(handles),
-        n_unique=len(unique_tasks),
-        n_cache_hits=n_cache_hits,
-        n_solved=len(misses),
-    )
+    width = len(handles)
     return BatchResult(
         solvers=tuple(handle.name for handle in handles),
-        results=results,
-        stats=stats,
+        results=tuple(
+            tuple(flat[i * width : (i + 1) * width]) for i in range(len(pairs))
+        ),
+        stats=replace(stats, n_instances=len(pairs), n_solvers=width),
     )
-
-
-def _frontier_task(
-    task: tuple[Solver, "PipelineApplication", "Platform", tuple[float, ...], dict | None],
-) -> tuple[dict, list[SolveResult], int]:
-    """One instance's whole threshold group (module-level, picklable).
-
-    Frontier groups travel by plain pickling rather than the shared-memory
-    arena: there is one task per *instance* (not per threshold), so the
-    per-task instance payload is already amortised over the group.
-    """
-    handle, app, platform, thresholds, document = task
-    return frontier_solve(handle, app, platform, thresholds, document)
-
-
-def _bound_request(handle: Solver, threshold: float) -> SolveRequest:
-    """The per-threshold request a frontier answer stands in for."""
-    if handle.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-        return handle.default_request(period_bound=threshold)
-    return handle.default_request(latency_bound=threshold)
 
 
 def solve_frontier_many(
-    tasks: Sequence[tuple[Any, float]],
-    solver: Any,
+    tasks: Sequence[tuple[Any, Any, SolveRequest]],
     *,
     workers: int | None = None,
     batch_size: int | None = None,
@@ -429,109 +263,167 @@ def solve_frontier_many(
     backend: str | None = None,
     pool: WorkerPool | None = None,
 ) -> tuple[list[SolveResult], BatchStats]:
-    """Solve ``(instance, threshold)`` tasks through one frontier per instance.
+    """Solve a mixed list of ``(instance, solver, request)`` triples.
 
-    The frontier sibling of :func:`solve_many` for task batches that differ
-    only in their threshold: tasks are deduplicated and probed against the
-    per-threshold solve cache exactly like the direct path, but the misses
-    are then *grouped by instance* and each group is answered by a single
-    :func:`~repro.solvers.frontier.frontier_solve` — one underlying solver
-    run (steps mode) or one per uncovered segment (monotone mode) instead
-    of one per threshold.  Every returned result is bit-identical (through
+    The task-list front-end of the service, with frontier routing: tasks
+    are deduplicated and probed against the solve cache like
+    :func:`solve_many`'s, and every frontier-eligible miss
+    (:func:`~repro.solvers.frontier.frontier_eligible`) whose instance asks
+    the same solver two or more distinct thresholds is answered by one
+    :func:`~repro.solvers.frontier.frontier_solve` for the whole group —
+    one underlying solver run (steps mode) or one per uncovered segment
+    (monotone mode) instead of one per threshold.  Everything else runs
+    direct.  Every returned result is bit-identical (through
     :meth:`~repro.solvers.base.SolveResult.identity`) to what the direct
     path produces, and both the per-threshold results and the frontier
     documents are memoised, so a warm cache serves *any* later threshold.
 
-    Returns ``(results, stats)`` with ``results`` aligned to ``tasks``.
-    Raises :class:`~repro.core.exceptions.ConfigurationError` when the
-    solver is not frontier-capable — callers gate on
-    :func:`~repro.solvers.frontier.frontier_eligible` first.
+    Returns ``(results, stats)`` with ``results`` aligned to ``tasks``; the
+    knobs are :func:`solve_many`'s.
     """
-    handle = as_solver(solver)
+    normalised = []
+    for item, solver, request in tasks:
+        pair = as_instance_pair(item)
+        normalised.append((pair, instance_digest(*pair), as_solver(solver), request))
     with kernels.use_backend(backend):
-        if tasks and not frontier_eligible(
-            handle, _bound_request(handle, float(tasks[0][1]))
-        ):
-            raise ConfigurationError(
-                f"solver {handle.name!r} cannot serve frontier batches"
-            )
-
-        # -- dedupe: one slot per distinct (instance digest, threshold) ---- #
-        slot_of: dict[tuple[str, float], int] = {}
-        unique: list[tuple["PipelineApplication", "Platform", float]] = []
-        assignment: list[int] = []
-        digests: list[str] = []
-        for item, threshold in tasks:
-            app, platform = as_instance_pair(item)
-            thr = float(threshold)
-            digest = instance_digest(app, platform)
-            task_key = (digest, thr)
-            slot = slot_of.get(task_key)
-            if slot is None:
-                slot = len(unique)
-                slot_of[task_key] = slot
-                unique.append((app, platform, thr))
-                digests.append(digest)
-            assignment.append(slot)
-
-        # -- probe the per-threshold cache; group the misses by instance --- #
-        unique_results: list[SolveResult | None] = [None] * len(unique)
-        keys: list[CacheKey | None] = [None] * len(unique)
-        n_cache_hits = 0
-        groups: dict[str, list[int]] = {}
-        for u, (app, platform, thr) in enumerate(unique):
-            if cache is not None:
-                keys[u] = solve_key(app, platform, handle, _bound_request(handle, thr))
-                unique_results[u] = cache.get(keys[u])
-            if unique_results[u] is None:
-                groups.setdefault(digests[u], []).append(u)
-            else:
-                n_cache_hits += 1
-
-        # -- one frontier task per instance, warm documents attached ------- #
-        group_slots = list(groups.values())
-        group_keys: list[CacheKey | None] = []
-        group_tasks = []
-        for slots in group_slots:
-            app, platform, _ = unique[slots[0]]
-            fkey = None
-            document = None
-            if cache is not None:
-                fkey = frontier_key(app, platform, handle, handle.objective)
-                document = cache.get_frontier(fkey)
-            group_keys.append(fkey)
-            group_tasks.append(
-                (handle, app, platform, tuple(unique[u][2] for u in slots), document)
-            )
-        if pool is not None:
-            outcomes = pool.map(_frontier_task, group_tasks, batch_size=batch_size)
-        else:
-            outcomes = parallel_map(
-                _frontier_task, group_tasks, workers=workers, batch_size=batch_size
-            )
-
-        # -- back-fill and memoise ----------------------------------------- #
-        n_solved = 0
-        for slots, fkey, (document, group_results, n_solves) in zip(
-            group_slots, group_keys, outcomes
-        ):
-            n_solved += n_solves
-            for u, result in zip(slots, group_results):
-                unique_results[u] = result
-                if cache is not None and keys[u] is not None:
-                    cache.put(keys[u], result)
-            if cache is not None and fkey is not None:
-                cache.put_frontier(fkey, document)
-
-        n_extracted = sum(len(slots) for slots in group_slots)
-        stats = BatchStats(
-            n_instances=len(set(digests)),
-            n_solvers=1,
-            n_tasks=len(tasks),
-            n_unique=len(unique),
-            n_cache_hits=n_cache_hits,
-            n_solved=n_solved,
-            n_frontier_groups=len(group_slots),
-            n_frontier_extracted=n_extracted,
+        return _solve_tasks(
+            normalised, workers=workers, batch_size=batch_size, cache=cache, pool=pool
         )
-        return [unique_results[slot] for slot in assignment], stats
+
+
+# --------------------------------------------------------------------------- #
+# the one task pipeline behind both front-ends
+# --------------------------------------------------------------------------- #
+#: a normalised task: ((application, platform), instance digest, solver, request)
+_Task = tuple[tuple["PipelineApplication", "Platform"], str, Solver, SolveRequest]
+
+
+def _solver_identity(handle: Solver) -> Any:
+    """What makes two solver handles interchangeable for dedupe and routing.
+
+    Registered solvers are pure functions named by ``(name, version)`` —
+    the cache's own identity — so two handles on one solver share work;
+    an ad-hoc (non-cacheable) wrapper is only interchangeable with itself.
+    """
+    return (handle.name, handle.version) if handle.cacheable else id(handle)
+
+
+def _solve_unit(unit: tuple[Solver, Any, Any, dict | None]) -> Any:
+    """One dispatch unit (module-level, picklable): a direct solve or a group.
+
+    ``unit`` is ``(solver, instance, question, document)``: the instance is
+    a pair or a shared-memory :class:`~repro.utils.shm.InstanceRef` (each
+    rehydrated at most once per worker); the question is a
+    :class:`~repro.solvers.base.SolveRequest` for a direct solve, or the
+    threshold tuple of a frontier group answered from ``document`` (a warm
+    frontier document, or ``None``).
+    """
+    handle, item, question, document = unit
+    app, platform = resolve_instance(item)
+    if isinstance(question, SolveRequest):
+        return handle.solve(app, platform, question)
+    return frontier_solve(handle, app, platform, question, document)
+
+
+def _solve_tasks(
+    tasks: Sequence[_Task],
+    *,
+    workers: int | None,
+    batch_size: int | None,
+    cache: "SolveCache | None",
+    pool: WorkerPool | None,
+) -> tuple[list[SolveResult], BatchStats]:
+    """Dedupe, probe, route, dispatch and back-fill normalised tasks.
+
+    Runs under the caller's active kernel backend; returns the results
+    aligned to ``tasks``.
+    """
+    # -- dedupe: one slot per distinct (instance, solver, request) -------- #
+    slot_of: dict[tuple, int] = {}
+    unique: list[_Task] = []
+    assignment: list[int] = []
+    for task in tasks:
+        _, digest, handle, request = task
+        task_key = (digest, _solver_identity(handle), request)
+        slot = slot_of.get(task_key)
+        if slot is None:
+            slot = slot_of[task_key] = len(unique)
+            unique.append(task)
+        assignment.append(slot)
+
+    # -- probe the cache; only misses are routed -------------------------- #
+    results: list[SolveResult | None] = [None] * len(unique)
+    keys: list[CacheKey | None] = [None] * len(unique)
+    misses: list[int] = []
+    for u, (pair, _, handle, request) in enumerate(unique):
+        if cache is not None and handle.cacheable and request.time_budget is None:
+            keys[u] = solve_key(*pair, handle, request)
+            results[u] = cache.get(keys[u])
+        if results[u] is None:
+            misses.append(u)
+
+    # -- route: the eligible misses of one (instance, solver) share a unit;
+    # a unit of two or more slots is a frontier group, the rest run direct
+    routes: dict[Any, list[int]] = {}
+    for u in misses:
+        _, digest, handle, request = unique[u]
+        if frontier_eligible(handle, request):
+            routes.setdefault((digest, _solver_identity(handle)), []).append(u)
+        else:
+            routes[u] = [u]
+    groups = list(routes.values())
+    units = []
+    frontier_keys: list[CacheKey | None] = []
+    for slots in groups:
+        pair, _, handle, request = unique[slots[0]]
+        question: Any = request
+        fkey = document = None
+        if len(slots) > 1:
+            question = tuple(unique[u][3].threshold for u in slots)
+            if cache is not None:
+                fkey = frontier_key(*pair, handle, handle.objective)
+                document = cache.get_frontier(fkey)
+        frontier_keys.append(fkey)
+        units.append((handle, pair, question, document))
+
+    # -- dispatch every unit in one map: arena refs when pooled ---------- #
+    run = pool.map if pool is not None else partial(parallel_map, workers=workers)
+    n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
+    if n_workers > 1 and len(units) > 1:
+        with InstanceArena(unit[1] for unit in units) as arena:
+            shipped = [(h, arena.ref(*pair), q, d) for h, pair, q, d in units]
+            outcomes = run(
+                _solve_unit, shipped, batch_size=batch_size, payload=arena.shipment()
+            )
+    else:
+        outcomes = run(_solve_unit, units, batch_size=batch_size)
+
+    # -- back-fill and memoise -------------------------------------------- #
+    n_solved = n_groups = n_extracted = 0
+    for slots, fkey, outcome in zip(groups, frontier_keys, outcomes):
+        if len(slots) == 1:
+            answers = [outcome]
+            n_solved += 1
+        else:
+            document, answers, n_runs = outcome
+            n_solved += n_runs
+            n_groups += 1
+            n_extracted += len(slots)
+            if fkey is not None:
+                cache.put_frontier(fkey, document)
+        for u, result in zip(slots, answers):
+            results[u] = result
+            if keys[u] is not None:
+                cache.put(keys[u], result)
+
+    stats = BatchStats(
+        n_instances=len({task[1] for task in tasks}),
+        n_solvers=len({_solver_identity(task[2]) for task in tasks}),
+        n_tasks=len(tasks),
+        n_unique=len(unique),
+        n_cache_hits=len(unique) - len(misses),
+        n_solved=n_solved,
+        n_frontier_groups=n_groups,
+        n_frontier_extracted=n_extracted,
+    )
+    return [results[slot] for slot in assignment], stats

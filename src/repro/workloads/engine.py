@@ -8,10 +8,10 @@ sweep and fuzz run:
    are replayed from the byte-stable serialisation
    (:mod:`repro.core.serialization`), so a resumed run costs only the
    incomplete fraction;
-2. **grouped execution** — incomplete solve tasks are grouped by (solver,
-   request) and dispatched through the batch solve service
-   (:func:`repro.solvers.service.solve_many`), inheriting its dedupe /
-   cache-probe / shard-misses pipeline and its determinism contract;
+2. **service execution** — incomplete solve tasks go through the batch
+   solve service (:func:`repro.solvers.service.solve_frontier_many`, one
+   call per checkpoint chunk), inheriting its dedupe / cache-probe /
+   route / shard-misses pipeline and its determinism contract;
    differential tasks fan the oracle out over the process pool;
 3. **checkpointing** — each completed task is appended to the JSONL journal
    (one line per task, keyed by task digest); execution is sliced so the
@@ -53,10 +53,9 @@ from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 from ..core import kernels
 from ..core.exceptions import ConfigurationError, ReproError
 from ..core.serialization import solve_result_from_dict, solve_result_to_dict
-from ..solvers.base import SolveResult
-from ..solvers.frontier import frontier_eligible, frontier_enabled
+from ..solvers.base import SolveRequest, SolveResult
 from ..solvers.service import solve_frontier_many, solve_many
-from ..utils.parallel import parallel_map, resolve_worker_count
+from ..utils.parallel import parallel_map
 from ..utils.shm import InstanceArena, resolve_instance
 from ..utils.tables import format_table
 from .plan import WorkloadPlan, WorkloadTask, shard_tasks
@@ -467,13 +466,50 @@ def _oracle_task(n_datasets: int, cache, item) -> "DifferentialReport":
     return differential_check(app, platform, n_datasets=n_datasets, cache=cache)
 
 
-def _solve_groups(
-    pending: Sequence[WorkloadTask],
-) -> list[tuple[WorkloadTask, list[WorkloadTask]]]:
-    """Group solve tasks by (solver, request), in first-appearance order."""
+def _task_request(plan: WorkloadPlan, task: WorkloadTask) -> SolveRequest:
+    """The solver request a solve task encodes."""
+    return plan.solvers[task.solver].default_request(
+        period_bound=task.period_bound,
+        latency_bound=task.latency_bound,
+        max_steps=task.max_steps,
+        time_budget=task.time_budget,
+    )
+
+
+def _frontier_chunks(
+    tasks: Sequence[WorkloadTask], step: int
+) -> list[list[WorkloadTask]]:
+    """Slice solve tasks into checkpoint chunks of at most ``step`` tasks.
+
+    A frontier group is one (instance, solver) pair, and splitting its
+    thresholds across chunks would re-pay its frontier computation per chunk
+    when no cache is attached, so chunks are packed group by group.  Only a
+    group with more than ``step`` tasks is itself sliced at ``step``, so the
+    journal is still flushed at least every ``step`` tasks.
+    """
+    groups: dict[tuple[str, str], list[WorkloadTask]] = {}
+    for task in tasks:
+        groups.setdefault((task.instance_hash, task.solver), []).append(task)
+    chunks: list[list[WorkloadTask]] = []
+    current: list[WorkloadTask] = []
+    for group in groups.values():
+        for start in range(0, len(group), step):
+            piece = group[start : start + step]
+            if current and len(current) + len(piece) > step:
+                chunks.append(current)
+                current = []
+            current.extend(piece)
+    if current:
+        chunks.append(current)
+    return chunks
+
+
+def _request_chunks(
+    tasks: Sequence[WorkloadTask], step: int
+) -> list[list[WorkloadTask]]:
+    """Slice solve tasks per (solver, request) group into checkpoint chunks."""
     groups: dict[tuple, list[WorkloadTask]] = {}
-    order: list[tuple] = []
-    for task in pending:
+    for task in tasks:
         key = (
             task.solver,
             task.objective,
@@ -482,91 +518,12 @@ def _solve_groups(
             task.max_steps,
             task.time_budget,
         )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(task)
-    return [(groups[key][0], groups[key]) for key in order]
-
-
-def _task_threshold(task: WorkloadTask) -> float:
-    """The one bound a frontier-routed task carries (eligibility guarantees it)."""
-    bound = task.period_bound if task.period_bound is not None else task.latency_bound
-    return float(bound)
-
-
-def _partition_frontier(
-    plan: WorkloadPlan,
-    solve_tasks: Sequence[WorkloadTask],
-    enabled: bool,
-) -> tuple[dict[str, list[WorkloadTask]], list[WorkloadTask]]:
-    """Split solve tasks into frontier groups (per solver) and the direct rest.
-
-    A task is routed through the frontier when its solver is
-    frontier-capable and its request is threshold-only
-    (:func:`~repro.solvers.frontier.frontier_eligible`), *and* its group
-    actually repeats an instance across thresholds — a group of one
-    threshold per instance gains nothing from a cold frontier run, so it
-    stays on the direct path (a warm frontier cache still serves it through
-    the per-threshold solve cache the frontier back-fills).
-    """
-    groups: dict[str, list[WorkloadTask]] = {}
-    rest: list[WorkloadTask] = []
-    if not enabled:
-        return groups, list(solve_tasks)
-    for task in solve_tasks:
-        handle = plan.solvers.get(task.solver)
-        eligible = False
-        if handle is not None and getattr(handle, "frontier_mode", None) is not None:
-            request = handle.default_request(
-                period_bound=task.period_bound,
-                latency_bound=task.latency_bound,
-                max_steps=task.max_steps,
-                time_budget=task.time_budget,
-            )
-            eligible = frontier_eligible(handle, request)
-        if eligible:
-            groups.setdefault(task.solver, []).append(task)
-        else:
-            rest.append(task)
-    for name in list(groups):
-        group = groups[name]
-        counts: dict[str, int] = {}
-        for task in group:
-            counts[task.instance_hash] = counts.get(task.instance_hash, 0) + 1
-        if max(counts.values()) <= 1:
-            rest.extend(groups.pop(name))
-    return groups, rest
-
-
-def _frontier_chunks(
-    tasks: Sequence[WorkloadTask], step: int
-) -> list[list[WorkloadTask]]:
-    """Slice a frontier group into checkpoint chunks along *whole* instances.
-
-    Splitting one instance's thresholds across chunks would re-pay the
-    frontier computation per chunk when no cache is attached, so chunks are
-    packed instance by instance; an instance with more thresholds than
-    ``step`` overflows its own chunk rather than being split.
-    """
-    by_instance: dict[str, list[WorkloadTask]] = {}
-    order: list[str] = []
-    for task in tasks:
-        if task.instance_hash not in by_instance:
-            by_instance[task.instance_hash] = []
-            order.append(task.instance_hash)
-        by_instance[task.instance_hash].append(task)
-    chunks: list[list[WorkloadTask]] = []
-    current: list[WorkloadTask] = []
-    for digest in order:
-        group = by_instance[digest]
-        if current and len(current) + len(group) > step:
-            chunks.append(current)
-            current = []
-        current.extend(group)
-    if current:
-        chunks.append(current)
-    return chunks
+        groups.setdefault(key, []).append(task)
+    return [
+        group[start : start + step]
+        for group in groups.values()
+        for start in range(0, len(group), step)
+    ]
 
 
 def execute_plan(
@@ -580,8 +537,7 @@ def execute_plan(
     max_tasks: int | None = None,
     shard: tuple[int, int] | None = None,
     backend: str | None = None,
-    transport: str = "auto",
-    frontier: bool | None = None,
+    frontier: bool = True,
 ) -> WorkloadRun:
     """Execute a plan's incomplete tasks; checkpoint and replay via ``journal``.
 
@@ -618,20 +574,16 @@ def execute_plan(
         run, mirrored into every pool worker; ``None`` keeps the current
         active backend.  Reports and sinks are byte-identical across
         ``numpy`` and ``compiled``.
-    transport:
-        Instance transport for pooled execution, as in
-        :func:`repro.solvers.service.solve_many`: ``"auto"`` ships each
-        unique instance to each worker at most once through a shared-memory
-        arena, ``"pickle"`` forces the legacy per-task pickling.
     frontier:
-        Frontier routing: solve-task groups identical up to their threshold
-        on a frontier-capable solver are answered through one
-        :func:`~repro.solvers.service.solve_frontier_many` call per group
-        instead of one run per threshold (the sweep amortisation).  The
-        default ``None`` enables routing — extracted results are
-        bit-identical to the direct path, so reports and journals are
-        unaffected — ``False`` forces per-threshold solves, and the
-        ``REPRO_DISABLE_FRONTIER`` environment switch overrides everything.
+        Frontier routing (the default): each checkpoint chunk of solve
+        tasks is one :func:`~repro.solvers.service.solve_frontier_many`
+        call, which answers every instance asking a frontier-capable solver
+        several thresholds from one frontier solve (the sweep
+        amortisation).  Extracted results are bit-identical to the direct
+        path, so reports and journals are unaffected.  ``False`` is the
+        per-threshold reference path: one
+        :func:`~repro.solvers.service.solve_many` call per (solver,
+        request) group.
     """
     with kernels.use_backend(backend):
         return _execute_plan_active(
@@ -643,7 +595,6 @@ def execute_plan(
             cache=cache,
             max_tasks=max_tasks,
             shard=shard,
-            transport=transport,
             frontier=frontier,
         )
 
@@ -658,8 +609,7 @@ def _execute_plan_active(
     cache: "SolveCache | None",
     max_tasks: int | None,
     shard: tuple[int, int] | None,
-    transport: str,
-    frontier: bool | None = None,
+    frontier: bool,
 ) -> WorkloadRun:
     """The execution loop, run under the already-active kernel backend."""
     in_shard: set[str] | None = None
@@ -693,42 +643,25 @@ def _execute_plan_active(
         # _CHECKPOINT_INTERVAL tasks (an interruption loses one slice, not a
         # whole fuzz stream); results are byte-identical at any slicing
         solve_tasks = [task for task in pending if task.kind == "solve"]
-        frontier_on = (frontier is not False) and frontier_enabled()
-        frontier_groups, direct_tasks = _partition_frontier(
-            plan, solve_tasks, frontier_on
-        )
-        for solver_name, group in frontier_groups.items():
-            solver = plan.solvers[solver_name]
-            step = _CHECKPOINT_INTERVAL if handle is not None else len(group)
-            for chunk in _frontier_chunks(group, step):
-                chunk_results, fstats = solve_frontier_many(
+        step = _CHECKPOINT_INTERVAL if handle is not None else max(1, len(solve_tasks))
+        chunker = _frontier_chunks if frontier else _request_chunks
+        for chunk in chunker(solve_tasks, step):
+            pairs = [plan.pair_for(task.instance_hash) for task in chunk]
+            if frontier:
+                results, stats = solve_frontier_many(
                     [
-                        (plan.pair_for(task.instance_hash), _task_threshold(task))
-                        for task in chunk
+                        (pair, plan.solvers[task.solver], _task_request(plan, task))
+                        for pair, task in zip(pairs, chunk)
                     ],
-                    solver,
                     workers=workers,
                     batch_size=batch_size,
                     cache=cache,
                 )
-                n_cache_hits += fstats.n_cache_hits
-                n_solved += fstats.n_solved
-                for task, result in zip(chunk, chunk_results):
-                    completed[task.digest] = result
-                    # frontier-eligible tasks never carry a time budget, so
-                    # every record is journal-safe
-                    if handle is not None:
-                        handle.write(_journal_line(task, result))
-                if handle is not None:
-                    handle.flush()
-        for head, group in _solve_groups(direct_tasks):
-            solver = plan.solvers[head.solver]
-            step = _CHECKPOINT_INTERVAL if handle is not None else len(group)
-            for start in range(0, len(group), step):
-                chunk = group[start : start + step]
+            else:
+                head = chunk[0]
                 outcome = solve_many(
-                    [plan.pair_for(task.instance_hash) for task in chunk],
-                    [solver],
+                    pairs,
+                    [plan.solvers[head.solver]],
                     period_bound=head.period_bound,
                     latency_bound=head.latency_bound,
                     max_steps=head.max_steps,
@@ -736,20 +669,20 @@ def _execute_plan_active(
                     workers=workers,
                     batch_size=batch_size,
                     cache=cache,
-                    transport=transport,
                 )
-                n_cache_hits += outcome.stats.n_cache_hits
-                n_solved += outcome.stats.n_solved
-                for task, row in zip(chunk, outcome.results):
-                    completed[task.digest] = row[0]
-                    # wall-clock-budgeted results are machine-dependent and
-                    # documented non-replayable: they never enter the journal,
-                    # so a resumed run re-executes them (and merged shard
-                    # journals never carry conflicting copies of them)
-                    if handle is not None and task.time_budget is None:
-                        handle.write(_journal_line(task, row[0]))
-                if handle is not None:
-                    handle.flush()
+                results, stats = outcome.for_solver(0), outcome.stats
+            n_cache_hits += stats.n_cache_hits
+            n_solved += stats.n_solved
+            for task, result in zip(chunk, results):
+                completed[task.digest] = result
+                # wall-clock-budgeted results are machine-dependent and
+                # documented non-replayable: they never enter the journal,
+                # so a resumed run re-executes them (and merged shard
+                # journals never carry conflicting copies of them)
+                if handle is not None and task.time_budget is None:
+                    handle.write(_journal_line(task, result))
+            if handle is not None:
+                handle.flush()
 
         oracle_tasks = [task for task in pending if task.kind == "differential"]
         oracle_batches: dict[int, list[WorkloadTask]] = {}
@@ -760,26 +693,13 @@ def _execute_plan_active(
             for start in range(0, len(batch), step):
                 chunk = batch[start : start + step]
                 pairs = [plan.pair_for(task.instance_hash) for task in chunk]
-                use_arena = transport == "shm" or (
-                    transport == "auto"
-                    and resolve_worker_count(workers) > 1
-                    and len(pairs) > 1
-                )
-                if use_arena:
-                    with InstanceArena(pairs) as arena:
-                        reports = parallel_map(
-                            partial(_oracle_task, n_datasets, cache),
-                            [arena.ref(app, plat) for app, plat in pairs],
-                            workers=workers,
-                            batch_size=batch_size,
-                            payload=arena.shipment(),
-                        )
-                else:
+                with InstanceArena(pairs) as arena:
                     reports = parallel_map(
                         partial(_oracle_task, n_datasets, cache),
-                        pairs,
+                        [arena.ref(app, plat) for app, plat in pairs],
                         workers=workers,
                         batch_size=batch_size,
+                        payload=arena.shipment(),
                     )
                 for task, report in zip(chunk, reports):
                     completed[task.digest] = report

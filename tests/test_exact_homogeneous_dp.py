@@ -115,7 +115,7 @@ class TestVectorizedKernels:
         for seed in range(6):
             app, platform = random_homogeneous_instance(seed, n=10, p=4)
             m_vec, v_vec = homogeneous_min_period(app, platform)
-            m_sca, v_sca = homogeneous_min_period(app, platform, vectorized=False)
+            m_sca, v_sca = homogeneous_min_period(app, platform, backend="scalar")
             assert v_vec == v_sca
             assert m_vec == m_sca
 
@@ -127,7 +127,7 @@ class TestVectorizedKernels:
                 bound = optimum * factor
                 _, l_vec = homogeneous_min_latency_for_period(app, platform, bound)
                 _, l_sca = homogeneous_min_latency_for_period(
-                    app, platform, bound, vectorized=False
+                    app, platform, bound, backend="scalar"
                 )
                 assert l_vec == pytest.approx(l_sca, rel=1e-12)
 
@@ -137,6 +137,6 @@ class TestVectorizedKernels:
             bound = optimal_latency(app, platform) * 1.4
             _, p_vec = homogeneous_min_period_for_latency(app, platform, bound)
             _, p_sca = homogeneous_min_period_for_latency(
-                app, platform, bound, vectorized=False
+                app, platform, bound, backend="scalar"
             )
             assert p_vec == pytest.approx(p_sca, rel=1e-12)

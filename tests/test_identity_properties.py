@@ -1,6 +1,6 @@
 """Canonical identity properties: rename/dtype invariance, corpus stability.
 
-The `core/identity.py` promotion (out of ``scenarios/hashing.py``) is only
+The `core/identity.py` promotion (out of the scenario layer) is only
 safe if the digests are bit-for-bit unchanged — the regression corpus under
 ``tests/corpus/`` embeds them in file names and documents.  These tests pin
 down the contract:
@@ -11,9 +11,7 @@ down the contract:
   representable values, and the serialisation dict round trip);
 * the digest-assembly optimisation (concatenating the cached per-object
   payloads) is byte-identical to hashing the canonical document directly;
-* every corpus fixture's stored digest matches the promoted implementation,
-  and the legacy ``repro.scenarios.hashing`` module re-exports the very
-  same functions.
+* every corpus fixture's stored digest matches the promoted implementation.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from repro.core.serialization import (
     platform_from_dict,
     platform_to_dict,
 )
-from repro.scenarios import hashing as legacy_hashing
 from repro.scenarios.corpus import load_corpus
 from repro.solvers.base import SolveRequest
 
@@ -153,13 +150,6 @@ class TestDigestAssembly:
 
 
 class TestCorpusStability:
-    def test_legacy_module_reexports_the_core_functions(self):
-        assert legacy_hashing.instance_digest is instance_digest
-        assert (
-            legacy_hashing.canonical_instance_document
-            is canonical_instance_document
-        )
-
     def test_every_fixture_digest_survives_the_promotion(self):
         entries = load_corpus(CORPUS_DIR)
         assert len(entries) == 11, "corpus fixtures changed; update this count"

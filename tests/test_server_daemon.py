@@ -340,11 +340,57 @@ class TestFrontierCoalescing:
             assert result is not None
             assert result.identity() == reference[slot]
         frontier = stats["frontier"]
-        assert frontier["n_groups"] >= 1
+        # all four thresholds rode one frontier solve
+        assert frontier["n_groups"] == 1
         assert frontier["n_thresholds"] == len(bounds)
-        # the histogram records how many thresholds each frontier solve
-        # answered; all four rode one group here
-        assert frontier["group_sizes"] == {str(len(bounds)): 1}
+
+
+class TestFailureIsolation:
+    def test_one_bad_request_does_not_fail_its_batch(
+        self, tmp_path, instances, reference
+    ):
+        """A homogeneous-only DP asked about a heterogeneous platform lands
+        in the same batch as valid requests; only it gets an error."""
+        n_valid = 4
+        sock = _socket(tmp_path)
+        results: list = [None] * (n_valid + 1)
+        host = DaemonThread(DaemonConfig(socket_path=sock, window=0.25)).start()
+        try:
+            barrier = threading.Barrier(n_valid + 1)
+
+            def _one(slot: int) -> None:
+                solver = SOLVER if slot < n_valid else "hom-dp-latency-for-period"
+                inst = instances[slot % n_valid]
+                with ServiceClient(sock) as client:
+                    barrier.wait()
+                    try:
+                        results[slot] = client.solve(
+                            inst.application,
+                            inst.platform,
+                            solver,
+                            period_bound=PERIOD_BOUND,
+                        )
+                    except ServiceError as exc:
+                        results[slot] = exc
+
+            threads = [
+                threading.Thread(target=_one, args=(slot,))
+                for slot in range(n_valid + 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            with ServiceClient(sock) as client:
+                stats = client.stats()
+        finally:
+            host.stop()
+        for slot in range(n_valid):
+            assert results[slot].identity() == reference[slot]
+        assert isinstance(results[n_valid], ServiceError)
+        assert "identical processor speeds" in str(results[n_valid])
+        # all five rode one batch, so the isolation path had to run
+        assert stats["coalescer"]["batch_sizes"] == {str(n_valid + 1): 1}
 
 
 class TestStatsEndpoint:
@@ -378,4 +424,3 @@ class TestStatsEndpoint:
         frontier = stats["frontier"]
         assert frontier["n_groups"] == 0
         assert frontier["n_thresholds"] == 0
-        assert frontier["group_sizes"] == {}

@@ -9,7 +9,7 @@ Contracts under test:
   workers via :func:`repro.utils.shm.worker_attach_counts`;
 * rehydrated instances are exact: the canonical JSON payloads round-trip
   the float values bit for bit, so pooled reports stay byte-identical to
-  serial ones under every ``transport`` knob;
+  serial ones;
 * the transport degrades gracefully: no ``/dev/shm`` (``REPRO_DISABLE_SHM``)
   means inline bytes through the initializer — still once per worker;
 * the mapped function travels through the pool **initializer**, never
@@ -23,7 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import time
@@ -201,7 +200,12 @@ class TestShipOnce:
     def test_workers_rehydrate_each_digest_at_most_once(
         self, monkeypatch, disable_shm
     ):
-        """24 tasks over 3 instances: every worker count stays at 1."""
+        """24 tasks over 3 instances: every worker count stays at 1.
+
+        One worker may drain every chunk before the other starts, so the
+        check is on what matters: each snapshot comes from a pool worker
+        (not the parent), and no worker rehydrated a digest twice.
+        """
         if disable_shm:
             monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         pairs = _pairs(_instances(3))
@@ -216,9 +220,8 @@ class TestShipOnce:
                 payload=arena.shipment(),
             )
         assert len(snapshots) == len(refs)
-        worker_pids = {pid for pid, _, _ in snapshots}
-        assert len(worker_pids) > 1  # the pool actually ran
-        for _, _, counts in snapshots:
+        for pid, _, counts in snapshots:
+            assert pid != os.getpid()  # the pool actually ran
             assert counts  # instrumentation is live in the workers
             assert all(count == 1 for count in counts.values())
 
@@ -237,7 +240,7 @@ class TestShipOnce:
 
 
 # ----------------------------------------------------------------------------- #
-# end-to-end identity across transports and backends
+# end-to-end identity across pooling and backends
 # ----------------------------------------------------------------------------- #
 def _identity_bytes(batch) -> list[bytes]:
     return [
@@ -248,20 +251,13 @@ def _identity_bytes(batch) -> list[bytes]:
 class TestTransportIdentity:
     SOLVERS = ("H1", "H4", "bitmask-dp-latency-for-period")
 
-    def test_pooled_equals_serial_under_every_transport(self):
+    def test_pooled_equals_serial(self):
         instances = _instances(5) * 2  # repeats exercise dedupe + memoisation
         serial = solve_many(instances, self.SOLVERS, period_bound=9.0)
-        reference = _identity_bytes(serial)
-        for transport in ("auto", "shm", "pickle"):
-            pooled = solve_many(
-                instances,
-                self.SOLVERS,
-                period_bound=9.0,
-                workers=2,
-                batch_size=2,
-                transport=transport,
-            )
-            assert _identity_bytes(pooled) == reference, transport
+        pooled = solve_many(
+            instances, self.SOLVERS, period_bound=9.0, workers=2, batch_size=2
+        )
+        assert _identity_bytes(pooled) == _identity_bytes(serial)
 
     def test_identity_holds_with_and_without_compiled_engines(self, monkeypatch):
         """Serial == pooled == compiled-less, byte for byte."""
@@ -277,7 +273,6 @@ class TestTransportIdentity:
             period_bound=9.0,
             workers=2,
             backend="compiled",
-            transport="shm",
         )
         assert _identity_bytes(with_engine) == reference
         monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all")
@@ -290,8 +285,7 @@ class TestTransportIdentity:
                 period_bound=9.0,
                 workers=2,
                 backend="compiled",
-                transport="shm",
-            )
+                )
         finally:
             monkeypatch.delenv("REPRO_KERNELS_DISABLE")
             compiled.reset()

@@ -10,7 +10,10 @@ contract: the returned *solutions* are byte-identical (through
 * with a cold cache, a warm cache, a shared on-disk cache or none at all.
 
 On top of that it must do *less work*: repeated instances are solved once,
-and warm caches solve nothing.
+and warm caches solve nothing.  :func:`~repro.solvers.service.
+solve_frontier_many` shares the pipeline and adds the one routing rule:
+only an instance asking one frontier-capable solver several thresholds is
+answered by a frontier solve.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from repro.experiments.failure import failure_thresholds
 from repro.experiments.sweep import run_sweep, sweep_results_equal
 from repro.generators.experiments import experiment_config, generate_instances
 from repro.scenarios.differential import differential_check
+from repro.solvers.base import SolveRequest
 from repro.solvers.registry import get_solver
-from repro.solvers.service import as_instance_pair, solve_many
+from repro.solvers.service import as_instance_pair, solve_frontier_many, solve_many
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +186,57 @@ class TestDriversThroughTheService:
         warm = differential_check(inst.application, inst.platform, cache=cache)
         assert plain == cold == warm
         assert cache.stats.hits > 0  # the warm pass reused the fan-out
+
+
+class TestSingleRouter:
+    """One rule for the whole mixed list: frontier per (instance, solver)."""
+
+    @staticmethod
+    def _mixed_tasks(instances):
+        first, second = instances[0], instances[1]
+        h1, h4 = get_solver("H1"), get_solver("H4")
+        bitmask = get_solver("bitmask-dp-latency-for-period")
+        tasks = [(first, h1, h1.default_request(period_bound=b)) for b in (8.0, 10.0, 12.0)]
+        tasks.append((second, h1, h1.default_request(period_bound=10.0)))
+        tasks += [(first, h4, h4.default_request(period_bound=b)) for b in (8.0, 12.0)]
+        tasks.append((second, h4, h4.default_request(period_bound=9.0)))
+        # a stray latency bound makes the request frontier-ineligible
+        tasks.append(
+            (
+                second,
+                bitmask,
+                SolveRequest(
+                    bitmask.objective, period_bound=12.0, latency_bound=80.0
+                ),
+            )
+        )
+        return tasks
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_mixed_list_matches_per_task_solve_many(self, instances, workers):
+        tasks = self._mixed_tasks(instances)
+        results, stats = solve_frontier_many(tasks, workers=workers, batch_size=1)
+        assert len(results) == len(tasks)
+        for (item, solver, request), result in zip(tasks, results):
+            direct = solve_many(
+                [item],
+                [solver],
+                period_bound=request.period_bound,
+                latency_bound=request.latency_bound,
+            ).results[0][0]
+            assert result.identity() == direct.identity()
+        # only instance A's three H1 thresholds share a frontier solve
+        assert stats.n_frontier_groups == 1
+        assert stats.n_frontier_extracted == 3
+        assert stats.n_tasks == stats.n_unique == len(tasks)
+        assert stats.n_solved == 1 + (len(tasks) - 3)
+
+    def test_warm_cache_serves_the_mixed_list(self, instances):
+        tasks = self._mixed_tasks(instances)
+        cache = SolveCache()
+        cold, _ = solve_frontier_many(tasks, cache=cache)
+        warm, stats = solve_frontier_many(tasks, cache=cache)
+        assert [r.identity() for r in warm] == [r.identity() for r in cold]
+        assert stats.n_solved == 0
+        assert stats.n_cache_hits == len(tasks)
+        assert stats.n_frontier_groups == 0

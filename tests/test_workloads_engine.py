@@ -160,6 +160,58 @@ class TestJournalResume:
                 == unsliced.result_for(task).identity()
             )
 
+    def test_checkpoints_split_one_large_instance_along_solvers(
+        self, instances, tmp_path, monkeypatch
+    ):
+        """One instance asking six solvers 50 thresholds each (300 tasks)
+        is flushed in chunks of at most ``_CHECKPOINT_INTERVAL`` tasks, and
+        each (instance, solver) frontier group stays inside one chunk."""
+        from repro.workloads import engine as engine_module
+
+        interval = engine_module._CHECKPOINT_INTERVAL
+        thresholds = [2.0 + 0.5 * step for step in range(50)]
+        names = ["H1", "H2", "H3", "H4", "H5", "H6"]
+        big, _ = solve_plan(
+            instances[:1], [(name, t) for name in names for t in thresholds]
+        )
+        assert len(big.tasks) > interval
+        calls: list[list[tuple[str, str]]] = []
+        real = engine_module.solve_frontier_many
+
+        def _recording(triples, **kwargs):
+            calls.append([(pair, solver.name) for pair, solver, _ in triples])
+            return real(triples, **kwargs)
+
+        monkeypatch.setattr(engine_module, "solve_frontier_many", _recording)
+        journal = tmp_path / "journal.jsonl"
+        run = execute_plan(big, journal=journal)
+        assert len(load_journal(journal, big)) == len(big.tasks)
+        assert len(calls) >= 2
+        assert all(len(call) <= interval for call in calls)
+        owners: dict[str, int] = {}
+        for index, call in enumerate(calls):
+            for _, solver in call:
+                assert owners.setdefault(solver, index) == index
+        assert len(owners) == len(names)
+        unsliced = execute_plan(big, frontier=False)
+        for task in big.tasks:
+            assert (
+                run.result_for(task).identity()
+                == unsliced.result_for(task).identity()
+            )
+
+    def test_oversized_frontier_group_is_sliced_at_the_interval(self):
+        from repro.workloads.engine import _frontier_chunks
+
+        class _Task:
+            def __init__(self, instance_hash, solver):
+                self.instance_hash, self.solver = instance_hash, solver
+
+        tasks = [_Task("a", "H1") for _ in range(7)] + [_Task("a", "H2")] * 2
+        chunks = _frontier_chunks(tasks, 3)
+        assert [len(chunk) for chunk in chunks] == [3, 3, 3]
+        assert [task.solver for task in chunks[-1]] == ["H1", "H2", "H2"]
+
     def test_without_resume_an_existing_journal_is_overwritten(
         self, plan, tmp_path
     ):
