@@ -222,12 +222,7 @@ def reference_period_range(
     achievable); the lower end is the mean period reached by unconstrained
     mono-criterion splitting (what the simplest heuristic can hope for).
     """
-    points = parallel_map(
-        _reference_point, instances, workers=workers, batch_size=batch_size
-    )
-    los = [p[0] for p in points]
-    his = [p[1] for p in points]
-    return float(np.mean(los)), float(np.mean(his))
+    return reference_ranges(instances, workers=workers, batch_size=batch_size)[0]
 
 
 def reference_latency_range(
@@ -242,14 +237,7 @@ def reference_latency_range(
     mean latency reached by unconstrained mono-criterion splitting (i.e. the
     latency price of chasing the best period).
     """
-    points = parallel_map(
-        _reference_point, instances, workers=workers, batch_size=batch_size
-    )
-    lo = float(np.mean([p[2] for p in points]))
-    hi = float(np.mean([p[3] for p in points]))
-    if hi <= lo:
-        hi = lo * 1.5 + 1e-9
-    return lo, hi
+    return reference_ranges(instances, workers=workers, batch_size=batch_size)[1]
 
 
 def reference_ranges(
@@ -260,9 +248,9 @@ def reference_ranges(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Both threshold ranges, ``((period_lo, period_hi), (latency_lo, latency_hi))``.
 
-    Equivalent to calling :func:`reference_period_range` and
-    :func:`reference_latency_range`, but the shared per-instance anchor runs
-    (one exhaustive H1 run each) are executed only once.
+    :func:`reference_period_range` and :func:`reference_latency_range` are
+    its two halves; calling this once runs the shared per-instance anchors
+    (one exhaustive H1 run each) only once.
     """
     points = parallel_map(
         _reference_point, instances, workers=workers, batch_size=batch_size

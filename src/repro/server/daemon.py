@@ -33,6 +33,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -329,7 +330,7 @@ class SolverDaemon:
             nonlocal n_errors
             try:
                 result, disposition = await self._submit(spec)
-            except (ReproError, ValueError) as exc:
+            except (ReproError, ValueError, BrokenProcessPool) as exc:
                 n_errors += 1
                 self.n_errors += 1
                 await self._write(
@@ -401,10 +402,14 @@ class SolverDaemon:
         dedupe/cache probe/route/shard pass over the persistent pool, with
         same-instance threshold spreads answered by one frontier solve.  If
         that call raises, the batch's tasks re-run one by one, so only the
-        failing request gets an error.
+        failing request gets an error — unless a pool worker died: a lone
+        task runs in this process, so re-running the one that killed its
+        worker could kill the daemon; the whole batch fails instead.
         """
         try:
             await self._solve(batch)
+        except BrokenProcessPool:
+            raise  # the coalescer hands it to every waiter of the batch
         except Exception:  # noqa: BLE001 - isolate the failing task(s)
             if len(batch) == 1:
                 raise  # the coalescer hands it to the waiter

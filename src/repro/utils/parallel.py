@@ -3,7 +3,7 @@
 The figure sweeps, the failure-threshold table and the ablations all reduce to
 "map a pure function over a list of independent work items" (instances,
 (heuristic, threshold) pairs, ...).  :func:`parallel_map` implements exactly
-that with a :mod:`multiprocessing` pool:
+that with a :class:`concurrent.futures.ProcessPoolExecutor` process pool:
 
 * **determinism** — results are returned in input order and each item is
   computed by the same pure function regardless of the worker that picks it
@@ -17,20 +17,28 @@ that with a :mod:`multiprocessing` pool:
   into every worker, and an optional ``payload`` (e.g. the shared-memory
   :class:`repro.utils.shm.InstanceShipment`) is installed per worker the
   same way;
-* **graceful degradation** — ``workers=None``/``0``/``1``, a single-item
-  input, or an environment without usable ``multiprocessing`` all fall back
-  to a plain serial loop, so callers never need a special case.
+* **graceful degradation** — ``workers=None``/``0``/``1`` or a single-item
+  input fall back to a plain serial loop, so callers never need a special
+  case;
+* **worker death is an error** — a worker killed mid-map (OOM killer, a
+  crash in a compiled kernel) raises
+  :class:`~concurrent.futures.process.BrokenProcessPool` instead of hanging.
 
-Functions passed to :func:`parallel_map` must be picklable: module-level
-functions, or :func:`functools.partial` applications of module-level
-functions.  Every object of the core data model (applications, platforms,
-mappings, heuristic results) pickles cleanly.
+:class:`WorkerPool` is the persistent variant for the solver daemon; its
+chunks carry their own function, so functions mapped through it must be
+picklable: module-level functions, or :func:`functools.partial`
+applications of module-level functions.  Every object of the core data
+model (applications, platforms, mappings, heuristic results) pickles
+cleanly.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from itertools import repeat
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 __all__ = [
@@ -54,6 +62,13 @@ DEFAULT_WORKERS = 1
 
 #: largest chunk shipped to a worker in one message
 _MAX_BATCH = 256
+
+#: the cheapest safe start method: fork (workers inherit the parent's state
+#: instead of unpickling it) where it exists
+try:
+    _CONTEXT = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - non-POSIX platforms
+    _CONTEXT = multiprocessing.get_context()
 
 
 def available_cpus() -> int:
@@ -111,50 +126,76 @@ def chunk_items(items: Sequence[_T], batch_size: int) -> list[Sequence[_T]]:
 
 
 class WorkerPayload(Protocol):
-    """Anything installable once per worker via the pool initializer."""
+    """Anything installable once per worker via :func:`_install`."""
 
     def install(self) -> None:  # pragma: no cover - protocol
         ...
 
 
-#: per-worker mapped function, set once by :func:`_worker_init`
+#: per-worker state, set only by :func:`_install`: the mapped function and
+#: the installed payload (payloads are content-shaped — the shm catalog maps
+#: content digests — so comparing them by equality is sound)
 _WORKER_FN: Callable | None = None
+_WORKER_PAYLOAD: object | None = None
 
 
-def _worker_init(
+def _install(
     fn: Callable[[_T], _R], backend: str | None, payload: WorkerPayload | None
 ) -> None:
-    """Pool initializer: receive the function, backend and payload **once**.
+    """Install a worker's state: mapped function, kernel backend, payload.
 
-    Everything a task needs beyond its own item lands here, pickled exactly
-    once per worker process instead of once per chunk or once per task: the
-    mapped function, the parent's active kernel backend (so pooled runs
-    compute with the same kernels as serial ones), and the optional
-    shared-memory shipment.
+    :func:`parallel_map` runs this once per worker as the pool initializer,
+    so the function is inherited through ``fork`` and never pickled;
+    :class:`WorkerPool` runs it before every chunk, whose task carries its
+    own state.  The parent's backend is mirrored so pooled runs compute with
+    the same kernels as serial ones, and the payload is re-installed only
+    when it differs from the one already installed.
     """
-    global _WORKER_FN
+    global _WORKER_FN, _WORKER_PAYLOAD
     _WORKER_FN = fn
     if backend is not None:
         from ..core import kernels
 
-        kernels.set_active_backend(backend)
+        if kernels.active_backend() != backend:
+            kernels.set_active_backend(backend)
+    if payload is not None and payload != _WORKER_PAYLOAD:
+        payload.install()
+        _WORKER_PAYLOAD = payload
+
+
+def _apply_chunk(chunk: Sequence[_T], state: tuple | None = None) -> list[_R]:
+    """Worker entry point: apply the installed function to one chunk.
+
+    ``state`` is the ``(fn, backend, payload)`` a :class:`WorkerPool` chunk
+    carries; a :func:`parallel_map` worker got it from its initializer.
+    """
+    if state is not None:
+        _install(*state)
+    return [_WORKER_FN(item) for item in chunk]
+
+
+def _plan(
+    items: list[_T], workers: int, batch_size: int | None
+) -> list[Sequence[_T]] | None:
+    """The chunks to ship, or ``None`` when the map runs serially.
+
+    Serial when there is one worker or at most one item; otherwise chunks
+    of ``batch_size`` (default: :func:`default_batch_size`).  A map of one
+    chunk still goes to a worker, so the daemon's pool keeps a task that
+    crashes its worker out of the daemon's own process.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return None
+    size = default_batch_size(len(items), workers) if batch_size is None else batch_size
+    return chunk_items(items, int(size))
+
+
+def _serial(
+    fn: Callable[[_T], _R], items: list[_T], payload: WorkerPayload | None
+) -> list[_R]:
     if payload is not None:
         payload.install()
-
-
-def _apply_chunk(chunk: Sequence[_T]) -> list[_R]:
-    """Worker entry point: apply the installed function to one chunk."""
-    fn = _WORKER_FN
-    assert fn is not None, "worker used before its initializer ran"
-    return [fn(item) for item in chunk]
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """The cheapest safe start method available (fork where it exists)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+    return [fn(item) for item in items]
 
 
 def parallel_map(
@@ -165,7 +206,7 @@ def parallel_map(
     batch_size: int | None = None,
     payload: WorkerPayload | None = None,
 ) -> list[_R]:
-    """Map a pure picklable function over items, optionally across processes.
+    """Map a pure function over items, optionally across processes.
 
     Returns ``[fn(item) for item in items]`` in input order.  With
     ``workers > 1`` the items are dispatched to a process pool in contiguous
@@ -176,80 +217,28 @@ def parallel_map(
     ``payload`` is installed once per worker through the pool initializer
     (and once in-process on the serial path), letting callers publish bulky
     shared state — e.g. a :class:`repro.utils.shm.InstanceShipment` — out of
-    band of the task stream.
+    band of the task stream.  A worker that dies mid-map raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
     item_list = list(items)
     n_workers = resolve_worker_count(workers)
-    if n_workers <= 1 or len(item_list) <= 1:
-        if payload is not None:
-            payload.install()
-        return [fn(item) for item in item_list]
-    size = (
-        default_batch_size(len(item_list), n_workers)
-        if batch_size is None
-        else int(batch_size)
-    )
-    chunks = chunk_items(item_list, size)
-    if len(chunks) == 1:
-        if payload is not None:
-            payload.install()
-        return [fn(item) for item in item_list]
+    chunks = _plan(item_list, n_workers, batch_size)
+    if chunks is None:
+        return _serial(fn, item_list, payload)
     from ..core import kernels
 
-    n_processes = min(n_workers, len(chunks))
-    ctx = _pool_context()
-    with ctx.Pool(
-        processes=n_processes,
-        initializer=_worker_init,
+    with ProcessPoolExecutor(
+        min(n_workers, len(chunks)),
+        mp_context=_CONTEXT,
+        initializer=_install,
         initargs=(fn, kernels.active_backend(), payload),
-    ) as pool:
-        chunk_results = pool.map(_apply_chunk, chunks)
-    return [result for chunk in chunk_results for result in chunk]
+    ) as executor:
+        return [y for ys in executor.map(_apply_chunk, chunks) for y in ys]
 
 
 # --------------------------------------------------------------------------- #
 # persistent pool: amortise worker start-up across many map calls
 # --------------------------------------------------------------------------- #
-#: identity of the payload currently installed in this worker (see
-#: :func:`_apply_pool_chunk`); payloads are content-shaped (the shm catalog
-#: maps content digests), so comparing by equality is sound.
-_POOL_PAYLOAD: object | None = None
-
-
-def _pool_worker_init(backend: str | None) -> None:
-    """Initializer of a persistent pool worker: mirror the parent backend."""
-    if backend is not None:
-        from ..core import kernels
-
-        kernels.set_active_backend(backend)
-
-
-def _apply_pool_chunk(
-    task: tuple[Callable[[_T], _R], str | None, WorkerPayload | None, Sequence[_T]],
-) -> list[_R]:
-    """Worker entry point of :class:`WorkerPool`: one chunk, self-describing.
-
-    Unlike the one-shot pool, a persistent pool serves *many* map calls with
-    different functions and payloads, so each chunk carries its own
-    ``(fn, backend, payload)``.  Module-level functions pickle by reference
-    (bytes, not code), and the payload is re-installed only when it differs
-    from the one already installed — consecutive chunks of one call, and
-    every call re-publishing identical content, reuse the worker's memoised
-    state.
-    """
-    global _POOL_PAYLOAD
-    fn, backend, payload, chunk = task
-    if backend is not None:
-        from ..core import kernels
-
-        if kernels.active_backend() != backend:
-            kernels.set_active_backend(backend)
-    if payload is not None and payload != _POOL_PAYLOAD:
-        payload.install()
-        _POOL_PAYLOAD = payload
-    return [fn(item) for item in chunk]
-
-
 class WorkerPool:
     """A long-lived process pool with :func:`parallel_map` semantics per call.
 
@@ -258,7 +247,15 @@ class WorkerPool:
     server.  ``WorkerPool`` keeps the processes alive across calls (the
     solver daemon creates one at start-up and reuses it for every batch) and
     exposes the same contract: results in input order, byte-identical to a
-    serial loop at any worker count, chunked to amortise pickling.
+    serial loop at any worker count, chunked to amortise pickling.  Every
+    worker is forked in the constructor.  Each chunk carries its own
+    ``(fn, backend, payload)``, since one pool serves many functions.
+
+    A map whose worker died raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  The next
+    :meth:`map` finds the pool broken — by that death, or by a worker
+    that died while the pool sat idle — shuts it down and forks fresh
+    workers.
 
     With ``workers <= 1`` no processes are created and :meth:`map` is a
     serial loop, so callers need no special case.  Use as a context manager
@@ -267,20 +264,16 @@ class WorkerPool:
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = resolve_worker_count(workers)
-        self._pool = None
+        self.closed = False
+        self._executor: ProcessPoolExecutor | None = None
         if self.workers > 1:
-            from ..core import kernels
+            self._start()
 
-            ctx = _pool_context()
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_pool_worker_init,
-                initargs=(kernels.active_backend(),),
-            )
-
-    @property
-    def closed(self) -> bool:
-        return self.workers > 1 and self._pool is None
+    def _start(self) -> None:
+        """Fork every worker now (one no-op each), not on first use."""
+        self._executor = ProcessPoolExecutor(self.workers, mp_context=_CONTEXT)
+        for future in [self._executor.submit(int) for _ in range(self.workers)]:
+            future.result()
 
     def map(
         self,
@@ -291,34 +284,28 @@ class WorkerPool:
         payload: WorkerPayload | None = None,
     ) -> list[_R]:
         """``[fn(item) for item in items]`` through the persistent workers."""
+        if self.closed:
+            raise RuntimeError("WorkerPool is closed")
         item_list = list(items)
-        if self._pool is None or len(item_list) <= 1:
-            if self.closed:
-                raise RuntimeError("WorkerPool is closed")
-            if payload is not None:
-                payload.install()
-            return [fn(item) for item in item_list]
+        chunks = _plan(item_list, self.workers, batch_size)
+        if chunks is None:
+            return _serial(fn, item_list, payload)
         from ..core import kernels
 
-        size = (
-            default_batch_size(len(item_list), self.workers)
-            if batch_size is None
-            else int(batch_size)
-        )
-        backend = kernels.active_backend()
-        tasks = [
-            (fn, backend, payload, chunk)
-            for chunk in chunk_items(item_list, size)
-        ]
-        chunk_results = self._pool.map(_apply_pool_chunk, tasks)
-        return [result for chunk in chunk_results for result in chunk]
+        state = (fn, kernels.active_backend(), payload)
+        try:
+            results = self._executor.map(_apply_chunk, chunks, repeat(state))
+        except BrokenProcessPool:  # a worker died since the last map
+            self._executor.shutdown(wait=True)
+            self._start()
+            results = self._executor.map(_apply_chunk, chunks, repeat(state))
+        return [y for ys in results for y in ys]
 
     def close(self) -> None:
         """Reap the worker processes (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        self.closed = True
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
