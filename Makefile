@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-cache bench-kernels bench-service bench-sweep cache-smoke fuzz-smoke fuzz-hetero-smoke workload-smoke shard-smoke serve-smoke sweep-smoke sweep-demo clean-results
+.PHONY: test lint bench-smoke bench bench-cache bench-kernels bench-service bench-sweep cache-smoke fuzz-smoke fuzz-hetero-smoke workload-smoke shard-smoke serve-smoke serve-repeat sweep-smoke sweep-demo clean-results
 
 ## tier-1 verification: the full test suite, fail fast
 test:
@@ -146,6 +146,16 @@ serve-smoke:
 	kill -TERM $$SRV; rc=0; wait $$SRV || rc=$$?; trap - EXIT; \
 	test $$rc -eq 0 || { echo "daemon exited $$rc (want 0)"; cat .serve-smoke/serve.log; exit 1; }
 	rm -rf .serve-smoke
+
+## CI's daemon determinism slice: run the coalescer, daemon and worker-fault
+## tests 5 times in a row and fail on the first red run (they hold work
+## pending with gated solvers, never with timers, so every run must agree)
+serve-repeat:
+	for i in 1 2 3 4 5; do \
+		$(PYTHON) -m pytest -q tests/test_coalescer.py \
+			tests/test_server_daemon.py tests/test_worker_faults.py \
+			|| { echo "serve-repeat: run $$i of 5 failed"; exit 1; }; \
+	done
 
 ## CI's frontier smoke slice: run one sweep per-threshold (--no-frontier)
 ## and frontier-routed (--frontier) and assert the two stdout reports are

@@ -303,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additionally persist the solve cache as "
                             "content-addressed blobs under DIR (the daemon "
                             "restarts warm)")
-    serve.add_argument("--window", type=_nonnegative_float_arg, default=0.002,
-                       metavar="SECONDS",
-                       help="micro-batching window: how long the first "
-                            "pending solve waits for company before the "
-                            "batch flushes (0 = flush immediately)")
     serve.add_argument("--max-batch", type=_positive_int_arg, default=128,
                        metavar="N",
-                       help="flush a pending batch eagerly at this size")
+                       help="most solves one micro-batch takes; requests "
+                            "that arrive while a batch runs form the next "
+                            "one")
     _add_parallel_arguments(serve)
     _add_backend_argument(serve)
 
@@ -417,16 +414,6 @@ def _positive_float_arg(value: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
     if x <= 0:
         raise argparse.ArgumentTypeError("must be a positive number")
-    return x
-
-
-def _nonnegative_float_arg(value: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if x < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
     return x
 
 
@@ -1156,13 +1143,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         cache_maxsize=args.cache_size,
         cache_dir=args.cache_dir,
-        window=args.window,
         max_batch=args.max_batch,
         # the active backend is already applied by main()'s use_backend
     )
     print(f"solver daemon starting on {args.socket} "
-          f"(workers={args.workers}, window={args.window}s, "
-          f"max-batch={args.max_batch}); SIGTERM drains gracefully",
+          f"(workers={args.workers}, max-batch={args.max_batch}); "
+          f"SIGTERM drains gracefully",
           file=sys.stderr)
     return run_daemon(config)
 

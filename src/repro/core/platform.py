@@ -101,6 +101,7 @@ class Platform:
         "name",
         "_canonical_payload",
         "_canonical_hash",
+        "_platform_class",
     )
 
     def __init__(
@@ -154,10 +155,12 @@ class Platform:
         if self._input_bandwidth <= 0 or self._output_bandwidth <= 0:
             raise InvalidPlatformError("input/output bandwidths must be positive")
         self.name = name
-        # canonical-identity caches (repro.core.identity); the hashed vectors
-        # above are frozen, so the cached values can never go stale
+        # canonical-identity and classification caches (repro.core.identity,
+        # platform_class); the vectors above are frozen, so the cached values
+        # can never go stale
         self._canonical_payload: bytes | None = None
         self._canonical_hash: str | None = None
+        self._platform_class: PlatformClass | None = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -252,7 +255,12 @@ class Platform:
     # ------------------------------------------------------------------ #
     @property
     def platform_class(self) -> PlatformClass:
-        """Classify the platform following the paper's taxonomy."""
+        """Classify the platform following the paper's taxonomy (cached)."""
+        if self._platform_class is None:
+            self._platform_class = self._classify()
+        return self._platform_class
+
+    def _classify(self) -> PlatformClass:
         homogeneous_speeds = bool(np.allclose(self._speeds, self._speeds[0]))
         if self._scalar_bandwidth is not None:
             homogeneous_links = True

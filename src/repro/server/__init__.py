@@ -10,9 +10,9 @@ This package keeps all of that warm:
   one persistent :class:`~repro.utils.parallel.WorkerPool` across requests,
   coalescing concurrent identical requests by canonical digest
   (single-flight) and micro-batching concurrent distinct ones through
-  :func:`repro.solvers.service.solve_many`;
-* :mod:`.coalescer` — the single-flight map and the time/size-windowed
-  batcher;
+  :func:`repro.solvers.service.solve_frontier_many`;
+* :mod:`.coalescer` — the single-flight map and the batch-while-busy
+  batcher (no timer: work that arrives while a batch runs forms the next);
 * :mod:`.protocol` — the wire format (one JSON document per line);
 * :mod:`.client` — the thin synchronous client library the CLI, the tests
   and the benchmarks use.

@@ -1,4 +1,4 @@
-"""Single-flight coalescing and time/size-windowed micro-batching.
+"""Single-flight coalescing and batch-while-busy micro-batching.
 
 Two ideas, one data structure:
 
@@ -9,9 +9,11 @@ Two ideas, one data structure:
   exactly one solver run (the solve cache covers repeats over time, the
   in-flight map covers repeats in the air);
 * **micro-batching** — distinct pending solves are not executed one by
-  one.  The first arrival opens a short window (``window`` seconds);
-  everything that arrives before it closes — or before ``max_batch`` tasks
-  accumulate — is flushed as one batch, which the daemon pushes through
+  one.  There is no timer: an idle coalescer flushes an arrival at once,
+  and everything that arrives while a batch executes (or in the same
+  event-loop beat, such as the tasks of one ``batch`` op) waits and is
+  flushed as the next batch, at most ``max_batch`` tasks at a time.  The
+  daemon pushes each batch through
   :func:`repro.solvers.service.solve_frontier_many` so the shared-memory arena,
   the worker pool and the dedupe/cache probe amortise across clients.
 
@@ -51,7 +53,7 @@ class PendingSolve:
 
 
 class SolveCoalescer:
-    """The daemon's admission queue: single-flight map + windowed batcher.
+    """The daemon's admission queue: single-flight map + batch-while-busy.
 
     Parameters
     ----------
@@ -60,34 +62,25 @@ class SolveCoalescer:
         (``set_result``/``set_exception``) every future in the batch; any
         exception it raises is propagated onto the still-unresolved ones,
         so a waiter can never hang on a crashed batch.
-    window:
-        Seconds the first pending task waits for company before the batch
-        flushes.  ``0`` flushes immediately (every batch is whatever
-        arrived in one event-loop beat).
     max_batch:
-        Flush eagerly once this many tasks are pending.
+        The most tasks one flush takes; a larger backlog stays queued for
+        the next flush.
     """
 
     def __init__(
         self,
         execute: Callable[[list[PendingSolve]], Awaitable[None]],
         *,
-        window: float = 0.002,
         max_batch: int = 128,
     ) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._execute = execute
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._pending: list[PendingSolve] = []
         self._inflight: dict[str, "asyncio.Future[SolveResult]"] = {}
         self._arrival = asyncio.Event()
-        self._flush = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._hurry = False
         self._stopping = False
         #: tasks enqueued (post single-flight dedupe)
         self.n_enqueued = 0
@@ -106,16 +99,10 @@ class SolveCoalescer:
                 self._run(), name="solve-coalescer"
             )
 
-    def hurry(self) -> None:
-        """Stop waiting out windows: flush everything as it arrives (drain)."""
-        self._hurry = True
-        self._flush.set()
-        self._arrival.set()
-
     async def stop(self) -> None:
         """Flush the queue and stop the loop once it is empty."""
         self._stopping = True
-        self.hurry()
+        self._arrival.set()
         if self._task is not None:
             await self._task
             self._task = None
@@ -156,8 +143,6 @@ class SolveCoalescer:
             PendingSolve(handle, app, platform, request, digest, future)
         )
         self.n_enqueued += 1
-        if len(self._pending) >= self.max_batch:
-            self._flush.set()
         self._arrival.set()
         return await asyncio.shield(future), False
 
@@ -165,21 +150,13 @@ class SolveCoalescer:
     # flush loop
     # ------------------------------------------------------------------ #
     async def _run(self) -> None:
-        while True:
-            await self._arrival.wait()
-            self._arrival.clear()
+        while self._pending or not self._stopping:
             if not self._pending:
-                if self._stopping:
-                    return
+                self._arrival.clear()
+                await self._arrival.wait()
                 continue
-            if self.window > 0 and not self._hurry:
-                if len(self._pending) < self.max_batch:
-                    try:
-                        await asyncio.wait_for(self._flush.wait(), self.window)
-                    except asyncio.TimeoutError:
-                        pass
-            self._flush.clear()
-            batch, self._pending = self._pending, []
+            batch = self._pending[: self.max_batch]
+            del self._pending[: self.max_batch]
             self.batch_sizes[len(batch)] += 1
             try:
                 await self._execute(batch)

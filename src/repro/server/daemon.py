@@ -63,7 +63,7 @@ __all__ = ["DaemonConfig", "SolverDaemon", "DaemonThread", "run_daemon"]
 class DaemonConfig:
     """Everything a daemon needs to come up.
 
-    ``window``/``max_batch`` parametrise the micro-batcher (see
+    ``max_batch`` caps each micro-batch (see
     :class:`~repro.server.coalescer.SolveCoalescer`); ``workers`` and
     ``batch_size`` are the familiar :func:`~repro.solvers.service.solve_many`
     knobs, applied through the persistent pool.
@@ -74,7 +74,6 @@ class DaemonConfig:
     batch_size: int | None = None
     cache_maxsize: int = 4096
     cache_dir: str | Path | None = None
-    window: float = 0.002
     max_batch: int = 128
     backend: str | None = None
 
@@ -92,7 +91,7 @@ class SolverDaemon:
             maxsize=config.cache_maxsize, directory=config.cache_dir
         )
         self.coalescer = SolveCoalescer(
-            self._execute_batch, window=config.window, max_batch=config.max_batch
+            self._execute_batch, max_batch=config.max_batch
         )
         self._pool: WorkerPool | None = None
         # one solver thread: batches execute sequentially (the machine's
@@ -157,8 +156,6 @@ class SolverDaemon:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # flush pending batches immediately; stop honouring the window
-        self.coalescer.hurry()
         # in-flight operations (including ones still arriving on already-
         # open connections) run to completion and stream their results
         while self._ops:

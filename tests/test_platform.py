@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidPlatformError
 from repro.core.platform import Platform, PlatformClass, Processor
+from repro.core.serialization import platform_from_dict, platform_to_dict
+from repro.scenarios.families import family_names, generate_scenarios
+from repro.utils.shm import InstanceArena, resolve_instance
 
 
 class TestProcessor:
@@ -99,6 +104,57 @@ class TestClassification:
         platform = Platform([1.0, 2.0, 3.0], mat)
         assert platform.is_communication_homogeneous
         assert platform.uniform_bandwidth == 7.0
+
+
+class TestClassificationCache:
+    """``platform_class`` is computed once and never goes stale."""
+
+    @pytest.mark.parametrize("family", family_names())
+    def test_memoised_value_equals_fresh_classification(self, family):
+        for scenario in generate_scenarios(4, family, seed=5):
+            platform = scenario.platform
+            memoised = platform.platform_class
+            assert platform.platform_class is memoised  # served from the slot
+            assert memoised is platform._classify()
+            rebuilt = platform_from_dict(platform_to_dict(platform))
+            assert rebuilt.platform_class is memoised
+
+    def test_every_class_is_memoised(self):
+        platforms = [
+            Platform.fully_homogeneous(3, speed=2.0, bandwidth=5.0),
+            Platform.communication_homogeneous([4.0, 2.0, 1.0], 10.0),
+            Platform.fully_heterogeneous(
+                [1.0, 2.0, 3.0], [[0.0, 5.0, 2.0], [5.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
+            ),
+        ]
+        for platform, expected in zip(platforms, PlatformClass):
+            assert platform._platform_class is None
+            assert platform.platform_class is expected
+            assert platform._platform_class is expected
+
+    @pytest.mark.parametrize("classified", [True, False])
+    def test_survives_pickle_round_trip(self, classified):
+        for scenario in generate_scenarios(6, "heterogeneous*", seed=2):
+            platform = scenario.platform
+            if classified:
+                platform.platform_class
+            clone = pickle.loads(pickle.dumps(platform))
+            assert clone.platform_class is platform.platform_class
+            assert clone.platform_class is clone._classify()
+
+    def test_survives_instance_arena_round_trip(self):
+        pairs = [
+            (scenario.application, scenario.platform)
+            for scenario in generate_scenarios(8, seed=11)
+        ]
+        for _, platform in pairs:
+            platform.platform_class
+        with InstanceArena(pairs) as arena:
+            arena.shipment().install()
+            for pair in pairs:
+                _, platform = resolve_instance(arena.ref(*pair))
+                assert platform.platform_class is pair[1].platform_class
+                assert platform.platform_class is platform._classify()
 
 
 class TestOrderingHelpers:

@@ -4,11 +4,19 @@ Everything runs against a real daemon — sockets, event loop, executor,
 worker pool — hosted either in-process (:class:`DaemonThread`) or, for the
 signal test, as a forked ``repro serve`` process that receives an actual
 SIGTERM mid-batch.
+
+Tests that need work to sit pending first park the daemon's solver thread
+on an Event-gated test solver (:class:`SolverGate`): everything sent while
+the gate holds is admitted by the coalescer but cannot run, so what
+coalesces and what batches together is decided by the test, not by a
+clock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -27,10 +35,17 @@ from repro.server import (
     wait_for_server,
 )
 from repro.server.client import wait_for_server as wait_alias
+from repro.solvers import registry
+from repro.solvers.base import Objective, SolverFamily
+from repro.solvers.registry import SolverSpec, get_solver, register_solver
 from repro.solvers.service import solve_many
 
 SOLVER = "H1"
 PERIOD_BOUND = 12.0
+#: name of the Event-gated test solver
+GATE = "test-gate"
+#: tasks (and solves) the gate's own held request adds to the counters
+GATE_TASKS = 1
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +77,115 @@ def _socket(tmp_path) -> str:
     return str(tmp_path / "daemon.sock")
 
 
+def _await(condition, what: str, timeout: float = 30.0) -> None:
+    """Poll ``condition()`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def _await_submitted(host: DaemonThread, n: int) -> None:
+    """Block until ``n`` requests besides the gate's reached the coalescer."""
+    coalescer = host.daemon.coalescer
+    _await(
+        lambda: coalescer.n_enqueued + coalescer.n_coalesced >= GATE_TASKS + n,
+        f"{n} requests to reach the coalescer",
+    )
+
+
+class SolverGate:
+    """A test solver that holds the daemon's solver thread until opened.
+
+    It answers like H1 (under its own name) once :attr:`opened` is set.
+    """
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+        self._solve = get_solver(SOLVER).spec.solve_fn
+
+    def solve(self, app, platform, request):
+        self.entered.set()
+        if not self.opened.wait(timeout=60.0):
+            raise RuntimeError("the solver gate was never opened")
+        return self._solve(app, platform, request)
+
+    @contextlib.contextmanager
+    def holding(self, sock: str, instance):
+        """Hold the solver thread on one gate solve for the ``with`` body."""
+        box = {}
+
+        def _blocker() -> None:
+            with ServiceClient(sock) as client:
+                box["result"] = client.solve(
+                    instance.application,
+                    instance.platform,
+                    GATE,
+                    period_bound=PERIOD_BOUND,
+                )
+
+        thread = threading.Thread(target=_blocker)
+        thread.start()
+        try:
+            assert self.entered.wait(timeout=30.0), "gate solve never started"
+            yield
+        finally:
+            self.opened.set()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the gate solve never answered"
+        assert box["result"].solver == GATE
+
+
+@pytest.fixture
+def gate(monkeypatch) -> SolverGate:
+    """Register a :class:`SolverGate` for one test (the registry is restored)."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_LOOKUP", dict(registry._LOOKUP))
+    solver_gate = SolverGate()
+    register_solver(
+        SolverSpec(
+            name=GATE,
+            key=GATE,
+            family=SolverFamily.HEURISTIC,
+            objective=Objective.MIN_LATENCY_FOR_PERIOD,
+            solve_fn=solver_gate.solve,
+        )
+    )
+    return solver_gate
+
+
+#: ``repro serve`` with the gate registered; argv: ENTERED_FD OPEN_FD CLI...
+_GATED_SERVE = f"""\
+import os
+import sys
+
+from repro.cli import main
+from repro.solvers.base import Objective, SolverFamily
+from repro.solvers.registry import SolverSpec, get_solver, register_solver
+
+ENTERED, OPEN = (int(fd) for fd in sys.argv[1:3])
+solve_h1 = get_solver({SOLVER!r}).spec.solve_fn
+
+
+def gate(app, platform, request):
+    os.write(ENTERED, b"!")  # the solver thread is held from here ...
+    os.read(OPEN, 1)  # ... until the test writes a byte
+    return solve_h1(app, platform, request)
+
+
+register_solver(SolverSpec(
+    name={GATE!r}, key={GATE!r}, family=SolverFamily.HEURISTIC,
+    objective=Objective.MIN_LATENCY_FOR_PERIOD, solve_fn=gate,
+))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
 class TestDaemonBasics:
     def test_ping_stats_and_solve(self, tmp_path, instances, reference):
         sock = _socket(tmp_path)
-        with DaemonThread(DaemonConfig(socket_path=sock, window=0.001)):
+        with DaemonThread(DaemonConfig(socket_path=sock)):
             with ServiceClient(sock) as client:
                 assert client.ping() < 1.0
                 stats = client.stats()
@@ -133,17 +253,13 @@ class TestDaemonBasics:
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_cost_one_solve(
-        self, tmp_path, instances, reference
+        self, tmp_path, gate, instances, reference
     ):
         """N in-flight clients for one digest -> exactly one solver run."""
         sock = _socket(tmp_path)
         n_clients = 4
         results = [None] * n_clients
-        # a generous window holds the first request pending long enough
-        # that the rest provably arrive while it is in flight
-        host = DaemonThread(
-            DaemonConfig(socket_path=sock, window=0.25)
-        ).start()
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
         try:
             barrier = threading.Barrier(n_clients)
 
@@ -161,8 +277,12 @@ class TestSingleFlight:
                 threading.Thread(target=_one, args=(slot,))
                 for slot in range(n_clients)
             ]
-            for thread in threads:
-                thread.start()
+            # the gate holds the first request pending, so the rest
+            # provably arrive while it is in flight
+            with gate.holding(sock, instances[-1]):
+                for thread in threads:
+                    thread.start()
+                _await_submitted(host, n_clients)
             for thread in threads:
                 thread.join()
         finally:
@@ -171,19 +291,17 @@ class TestSingleFlight:
             assert result is not None
             assert result.identity() == reference[0]
         # one unit of solve work, everyone else coalesced onto it
-        assert host.daemon.n_solved == 1
-        assert host.daemon.coalescer.n_enqueued == 1
+        assert host.daemon.n_solved == GATE_TASKS + 1
+        assert host.daemon.coalescer.n_enqueued == GATE_TASKS + 1
         assert host.daemon.coalescer.n_coalesced == n_clients - 1
 
     def test_distinct_concurrent_requests_micro_batch(
-        self, tmp_path, instances, reference
+        self, tmp_path, gate, instances, reference
     ):
         sock = _socket(tmp_path)
         n_clients = len(instances)
         results = [None] * n_clients
-        host = DaemonThread(
-            DaemonConfig(socket_path=sock, window=0.25)
-        ).start()
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
         try:
             barrier = threading.Barrier(n_clients)
 
@@ -201,27 +319,32 @@ class TestSingleFlight:
                 threading.Thread(target=_one, args=(slot,))
                 for slot in range(n_clients)
             ]
-            for thread in threads:
-                thread.start()
+            with gate.holding(sock, instances[-1]):
+                for thread in threads:
+                    thread.start()
+                _await_submitted(host, n_clients)
             for thread in threads:
                 thread.join()
         finally:
             host.stop()
         for slot, result in enumerate(results):
             assert result.identity() == reference[slot]
-        # the window gathered concurrent distinct requests into few batches
+        # requests that arrived while the solver was busy flushed together
         sizes = host.daemon.coalescer.batch_sizes
-        assert sum(size * count for size, count in sizes.items()) == n_clients
+        assert sum(size * count for size, count in sizes.items()) == (
+            GATE_TASKS + n_clients
+        )
         assert max(sizes) > 1, f"no micro-batch formed: {dict(sizes)}"
+        assert dict(sizes) == {GATE_TASKS: 1, n_clients: 1}
 
 
 class TestDrain:
-    def test_drain_finishes_in_flight_batch(self, tmp_path, instances, reference):
+    def test_drain_finishes_in_flight_batch(
+        self, tmp_path, gate, instances, reference
+    ):
         """Drain requested mid-batch: the client still gets every result."""
         sock = _socket(tmp_path)
-        host = DaemonThread(
-            DaemonConfig(socket_path=sock, window=0.5)
-        ).start()
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
         reply_box = {}
 
         def _client() -> None:
@@ -231,9 +354,15 @@ class TestDrain:
                 )
 
         thread = threading.Thread(target=_client)
-        thread.start()
-        time.sleep(0.1)  # request is in flight, batch still windowed
-        host.stop()  # drain: must flush and answer, not abandon
+        # drain: must flush and answer, not abandon
+        stopper = threading.Thread(target=host.stop)
+        with gate.holding(sock, instances[-1]):
+            thread.start()
+            _await_submitted(host, len(instances))  # request in flight, pending
+            stopper.start()
+            _await(lambda: host.daemon.draining, "the drain to start")
+        stopper.join(timeout=60.0)
+        assert not stopper.is_alive()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
         reply = reply_box["reply"]
@@ -251,37 +380,74 @@ class TestDrain:
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + env.get("PYTHONPATH", "").split(os.pathsep)
         ).strip(os.pathsep)
+        # the gate runs in the daemon process: it signals through one pipe
+        # that it holds the solver thread and waits on another to go on
+        entered_r, entered_w = os.pipe()
+        open_r, open_w = os.pipe()
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--socket", sock, "--window", "0.5",
+                sys.executable, "-c", _GATED_SERVE, str(entered_w), str(open_r),
+                "serve", "--socket", sock,
             ],
             env=env,
             stderr=subprocess.PIPE,
             text=True,
+            pass_fds=(entered_w, open_r),
         )
+        os.close(entered_w)
+        os.close(open_r)
+        reply_box = {}
+
+        def _gate() -> None:
+            with ServiceClient(sock) as client:
+                client.solve(
+                    instances[-1].application,
+                    instances[-1].platform,
+                    GATE,
+                    period_bound=PERIOD_BOUND,
+                )
+
+        def _client() -> None:
+            with ServiceClient(sock) as client:
+                reply_box["reply"] = client.solve_batch(
+                    [_spec(i) for i in instances]
+                )
+
+        gate_thread = threading.Thread(target=_gate)
+        client_thread = threading.Thread(target=_client)
         try:
             wait_for_server(sock, timeout=30.0)
-            reply_box = {}
+            gate_thread.start()
+            ready, _, _ = select.select([entered_r], [], [], 30.0)
+            assert ready, "gate solve never started"
+            client_thread.start()
+            with ServiceClient(sock) as probe:
 
-            def _client() -> None:
-                with ServiceClient(sock) as client:
-                    reply_box["reply"] = client.solve_batch(
-                        [_spec(i) for i in instances]
-                    )
+                def _submitted() -> int:
+                    coalescer = probe.stats()["coalescer"]
+                    return coalescer["n_enqueued"] + coalescer["n_coalesced"]
 
-            thread = threading.Thread(target=_client)
-            thread.start()
-            time.sleep(0.15)  # batch submitted, window still open
-            proc.send_signal(signal.SIGTERM)
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
+                # batch submitted, still pending behind the gate
+                _await(
+                    lambda: _submitted() >= GATE_TASKS + len(instances),
+                    "the batch to reach the daemon",
+                )
+                proc.send_signal(signal.SIGTERM)
+                _await(lambda: probe.stats()["draining"], "the drain to start")
+            os.write(open_w, b"!")
+            for thread in (gate_thread, client_thread):
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
             returncode = proc.wait(timeout=30.0)
+            stderr = proc.stderr.read()
         finally:
+            os.close(open_w)  # a gate still waiting reads EOF and goes on
+            os.close(entered_r)
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait()
-        assert returncode == 0, proc.stderr.read()
+            proc.stderr.close()
+        assert returncode == 0, stderr
         # the drained daemon answered the full batch before exiting
         reply = reply_box["reply"]
         assert [r.identity() for r in reply.results] == reference
@@ -292,7 +458,7 @@ class TestDrain:
 
 class TestFrontierCoalescing:
     def test_distinct_thresholds_coalesce_onto_one_frontier_solve(
-        self, tmp_path, instances
+        self, tmp_path, gate, instances
     ):
         """Concurrent same-instance requests differing only in threshold
         land in one group and are answered by a single frontier solve,
@@ -308,9 +474,7 @@ class TestFrontierCoalescing:
         ]
         sock = _socket(tmp_path)
         results = [None] * len(bounds)
-        host = DaemonThread(
-            DaemonConfig(socket_path=sock, window=0.25)
-        ).start()
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
         try:
             barrier = threading.Barrier(len(bounds))
 
@@ -328,8 +492,10 @@ class TestFrontierCoalescing:
                 threading.Thread(target=_one, args=(slot,))
                 for slot in range(len(bounds))
             ]
-            for thread in threads:
-                thread.start()
+            with gate.holding(sock, instances[-1]):
+                for thread in threads:
+                    thread.start()
+                _await_submitted(host, len(bounds))
             for thread in threads:
                 thread.join()
             with ServiceClient(sock) as client:
@@ -347,14 +513,14 @@ class TestFrontierCoalescing:
 
 class TestFailureIsolation:
     def test_one_bad_request_does_not_fail_its_batch(
-        self, tmp_path, instances, reference
+        self, tmp_path, gate, instances, reference
     ):
         """A homogeneous-only DP asked about a heterogeneous platform lands
         in the same batch as valid requests; only it gets an error."""
         n_valid = 4
         sock = _socket(tmp_path)
         results: list = [None] * (n_valid + 1)
-        host = DaemonThread(DaemonConfig(socket_path=sock, window=0.25)).start()
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
         try:
             barrier = threading.Barrier(n_valid + 1)
 
@@ -377,8 +543,10 @@ class TestFailureIsolation:
                 threading.Thread(target=_one, args=(slot,))
                 for slot in range(n_valid + 1)
             ]
-            for thread in threads:
-                thread.start()
+            with gate.holding(sock, instances[-1]):
+                for thread in threads:
+                    thread.start()
+                _await_submitted(host, n_valid + 1)
             for thread in threads:
                 thread.join()
             with ServiceClient(sock) as client:
@@ -389,8 +557,12 @@ class TestFailureIsolation:
             assert results[slot].identity() == reference[slot]
         assert isinstance(results[n_valid], ServiceError)
         assert "identical processor speeds" in str(results[n_valid])
-        # all five rode one batch, so the isolation path had to run
-        assert stats["coalescer"]["batch_sizes"] == {str(n_valid + 1): 1}
+        # all five rode one batch (after the gate's own), so the isolation
+        # path had to run
+        assert stats["coalescer"]["batch_sizes"] == {
+            str(GATE_TASKS): 1,
+            str(n_valid + 1): 1,
+        }
 
 
 class TestStatsEndpoint:

@@ -86,15 +86,19 @@ _DAEMON_SCRIPT = """\
 import os
 import signal
 import tempfile
+import threading
+import time
 
 from repro.generators.experiments import experiment_config, generate_instances
 from repro.server import DaemonConfig, DaemonThread, ServiceClient, ServiceError
 from repro.server import SolveTaskSpec
 from repro.solvers.base import Objective, SolverFamily
-from repro.solvers.registry import SolverSpec, register_solver
+from repro.solvers.registry import SolverSpec, get_solver, register_solver
 from repro.solvers.service import solve_many
 
 DAEMON_PID = os.getpid()
+GATE_ENTERED, GATE_OPEN = threading.Event(), threading.Event()
+solve_h1 = get_solver("H1").spec.solve_fn
 
 
 def kill_own_worker(app, platform, request):
@@ -103,10 +107,18 @@ def kill_own_worker(app, platform, request):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-register_solver(SolverSpec(
-    name="worker-killer", key="worker-killer", family=SolverFamily.HEURISTIC,
-    objective=Objective.MIN_LATENCY_FOR_PERIOD, solve_fn=kill_own_worker,
-))
+def gate(app, platform, request):
+    # a lone task runs on the daemon's solver thread: hold it there
+    GATE_ENTERED.set()
+    GATE_OPEN.wait(timeout=30.0)
+    return solve_h1(app, platform, request)
+
+
+for name, solve_fn in [("worker-killer", kill_own_worker), ("test-gate", gate)]:
+    register_solver(SolverSpec(
+        name=name, key=name, family=SolverFamily.HEURISTIC,
+        objective=Objective.MIN_LATENCY_FOR_PERIOD, solve_fn=solve_fn,
+    ))
 instances = generate_instances(experiment_config("E1", 8, 6, n_instances=6), seed=3)
 pairs = [(inst.application, inst.platform) for inst in instances]
 
@@ -117,14 +129,35 @@ def spec(pair, solver):
     )
 
 
+def open_gate_once_pending(host, n_tasks):
+    # open the gate once the tasks are all pending behind it, so they flush
+    # as one batch
+    coalescer = host.daemon.coalescer
+    deadline = time.monotonic() + 30.0
+    while coalescer.n_enqueued < 1 + n_tasks and time.monotonic() < deadline:
+        time.sleep(0.005)
+    GATE_OPEN.set()
+
+
 sock = os.path.join(tempfile.mkdtemp(), "daemon.sock")
-config = DaemonConfig(socket_path=sock, workers=2, window=0.05)
-with DaemonThread(config), ServiceClient(sock, timeout=30.0) as client:
+config = DaemonConfig(socket_path=sock, workers=2)
+with DaemonThread(config) as host, ServiceClient(sock, timeout=30.0) as client, \
+        ServiceClient(sock, timeout=30.0) as gate_client:
+    holder = threading.Thread(
+        target=gate_client.solve_batch, args=([spec(pairs[5], "test-gate")],)
+    )
+    holder.start()
+    GATE_ENTERED.wait(timeout=30.0)
     doomed = [spec(pairs[0], "worker-killer")] + [spec(p, "H1") for p in pairs[1:3]]
+    opener = threading.Thread(target=open_gate_once_pending, args=(host, len(doomed)))
+    opener.start()
     try:
         client.solve_batch(doomed)
     except ServiceError as exc:
         print("batch failed:", str(exc).split(":")[0])
+    opener.join(timeout=30.0)
+    holder.join(timeout=30.0)
+    assert not opener.is_alive() and not holder.is_alive()
     reply = client.solve_batch([spec(p, "H1") for p in pairs])
     reference = solve_many(pairs, ["H1"], period_bound=12.0).results
     assert [r.identity() for r in reply.results] == [
