@@ -157,16 +157,22 @@ serve-repeat:
 			|| { echo "serve-repeat: run $$i of 5 failed"; exit 1; }; \
 	done
 
-## CI's frontier smoke slice: run one sweep per-threshold (--no-frontier)
-## and frontier-routed (--frontier) and assert the two stdout reports are
-## byte-identical — the frontier layer may only change the wall clock
+## CI's frontier smoke slice: run one sweep per-threshold (--no-frontier),
+## frontier-routed (--frontier) and frontier-routed on 2 workers, and assert
+## the three stdout reports are byte-identical — the frontier layer may only
+## change the wall clock, and so may split tables (shared across the whole
+## batch when serial, per heuristic run in a pool worker)
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
 		--instances 4 --thresholds 6 --no-frontier > .sweep-smoke/direct.txt
 	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
 		--instances 4 --thresholds 6 --frontier > .sweep-smoke/frontier.txt
+	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
+		--instances 4 --thresholds 6 --frontier --workers 2 \
+		> .sweep-smoke/pooled.txt
 	cmp .sweep-smoke/direct.txt .sweep-smoke/frontier.txt
+	cmp .sweep-smoke/frontier.txt .sweep-smoke/pooled.txt
 	rm -rf .sweep-smoke
 
 ## one parallel figure panel end to end (smoke test of the --workers path)

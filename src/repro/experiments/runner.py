@@ -91,8 +91,6 @@ class AggregateStats:
     n_feasible: int
     mean_period: float
     mean_latency: float
-    std_period: float
-    std_latency: float
 
     @property
     def feasible_fraction(self) -> float:
@@ -188,8 +186,6 @@ def aggregate_runs(runs: Sequence[InstanceRun]) -> AggregateStats:
         n_feasible=len(feasible),
         mean_period=float(periods.mean()) if feasible else float("nan"),
         mean_latency=float(latencies.mean()) if feasible else float("nan"),
-        std_period=float(periods.std()) if feasible else float("nan"),
-        std_latency=float(latencies.std()) if feasible else float("nan"),
     )
 
 

@@ -4,9 +4,9 @@ Two families of heuristics are defined by the paper:
 
 * *fixed period* — the period threshold is given, the heuristic tries to reach
   it while keeping the latency as small as possible (``H1 Sp-mono-P``,
-  ``H2a 3-Explo-mono``, ``H2b 3-Explo-bi``, ``H3 Sp-bi-P``);
+  ``H2 3-Explo-mono``, ``H3 3-Explo-bi``, ``H4 Sp-bi-P``);
 * *fixed latency* — the latency threshold is given, the heuristic minimises
-  the period without exceeding it (``H4 Sp-mono-L``, ``H5 Sp-bi-L``).
+  the period without exceeding it (``H5 Sp-mono-L``, ``H6 Sp-bi-L``).
 
 Every heuristic returns a :class:`HeuristicResult`; infeasibility (the
 threshold cannot be met) is reported through the ``feasible`` flag rather than
@@ -25,6 +25,7 @@ from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
+from .engine import split_tables
 
 __all__ = [
     "Objective",
@@ -109,7 +110,9 @@ class PipelineHeuristic(abc.ABC):
         """Run the heuristic with the appropriate bound.
 
         Exactly one of ``period_bound`` / ``latency_bound`` must be provided,
-        matching the heuristic's :attr:`objective`.
+        matching the heuristic's :attr:`objective`.  The run opens (or joins)
+        a :func:`~repro.heuristics.engine.split_tables` scope, so repeated
+        passes — H4's bisection — rank each split once.
         """
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
             if period_bound is None or latency_bound is not None:
@@ -119,15 +122,18 @@ class PipelineHeuristic(abc.ABC):
                 )
             if period_bound <= 0:
                 raise ConfigurationError("period_bound must be positive")
-            return self._solve(app, platform, float(period_bound))
-        if latency_bound is None or period_bound is not None:
-            raise ConfigurationError(
-                f"{self.name} minimises period for a fixed latency: "
-                "pass latency_bound= (and not period_bound=)"
-            )
-        if latency_bound <= 0:
-            raise ConfigurationError("latency_bound must be positive")
-        return self._solve(app, platform, float(latency_bound))
+            bound = period_bound
+        else:
+            if latency_bound is None or period_bound is not None:
+                raise ConfigurationError(
+                    f"{self.name} minimises period for a fixed latency: "
+                    "pass latency_bound= (and not period_bound=)"
+                )
+            if latency_bound <= 0:
+                raise ConfigurationError("latency_bound must be positive")
+            bound = latency_bound
+        with split_tables():
+            return self._solve(app, platform, float(bound))
 
     @abc.abstractmethod
     def _solve(

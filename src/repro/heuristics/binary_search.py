@@ -1,4 +1,4 @@
-"""``H3 Sp-bi-P``: bi-criteria splitting with a binary search on the latency.
+"""``H4 Sp-bi-P``: bi-criteria splitting with a binary search on the latency.
 
 The heuristic fixes an *authorised latency* — the optimal latency of Lemma 1
 multiplied by an allowed increase — and runs a splitting pass in which every
@@ -33,7 +33,7 @@ def _reached(value: float, bound: float) -> bool:
 
 
 class SplittingBiPeriod(FixedPeriodHeuristic):
-    """``H3 Sp bi P`` — bi-criteria splitting + binary search on the latency."""
+    """``H4 Sp bi P`` — bi-criteria splitting + binary search on the latency."""
 
     name: ClassVar[str] = "Sp bi P"
     key: ClassVar[str] = "H4"

@@ -16,15 +16,36 @@ contribution per interval) and evaluates *all* candidate cuts of a step with
 vectorised NumPy computations, which keeps the experiment harness (hundreds of
 thousands of heuristic runs for the figures) fast.
 
+**Split tables.**  H4's latency bisection re-runs the same splitting loop up
+to 26 times, and a sweep runs H1/H4–H6 at every threshold, so the same
+two-way splits are asked for over and over under different latency caps.
+The cap is only a filter: the first query of a split key ranks every
+candidate that passes the improvement test, once (score, largest new cycle
+time, new latency, orientation, cut), and every later query — whatever its
+cap — returns the first ranked candidate whose new latency is within the
+cap.  The key is the split geometry (interval bounds, current and new
+processor, rule, improvement flag) plus the three state floats the ranking
+is computed from (the interval's cycle time, the current latency, and the
+latency without the interval), so a hit is bit-identical to re-ranking.
+Tables live in a :func:`split_tables` scope, keyed by the (application,
+platform) object pair: :meth:`PipelineHeuristic.run
+<repro.heuristics.base.PipelineHeuristic.run>` opens one per run and the
+batch service opens one around each in-process dispatch, so every
+threshold and heuristic of an instance shares its tables until the call
+returns.  They are never attached to the instance objects and never part of
+an identity or cache key.
+
 The engine assumes a communication-homogeneous platform, as in the paper; the
 fully heterogeneous extension lives in :mod:`repro.extensions`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +55,13 @@ from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
 
-__all__ = ["SelectionRule", "SplitCandidate", "SplittingState"]
+__all__ = [
+    "SelectionRule",
+    "SplitCandidate",
+    "SplitTable",
+    "SplittingState",
+    "split_tables",
+]
 
 _EPS = 1e-12
 
@@ -82,6 +109,165 @@ class SplitCandidate:
     def improves_period(self) -> bool:
         """Whether the touched processors all beat the previous bottleneck."""
         return self.local_max_cycle < self.old_cycle - _EPS * (1.0 + self.old_cycle)
+
+
+class _Ranking:
+    """The candidates of one split that pass the improvement test, best first.
+
+    Candidates are the (assignment, cut) pairs of the split, assignment-major.
+    ``_order`` lists the kept ones in selection order — score, then largest
+    new cycle time, then new latency, then assignment and cut order — and
+    ``neg_floor[i]`` is minus the smallest new latency among ``_order[:i+1]``
+    (non-decreasing), so the best candidate under a latency cap is entry
+    ``i`` for the first ``i`` with ``-neg_floor[i] <= cap``: one binary
+    search.  ``old_cycle`` / ``old_latency`` are the state floats the
+    ranking was computed against; they are part of the table key.
+    """
+
+    __slots__ = (
+        "old_cycle", "old_latency", "neg_floor", "_order", "_d", "_e", "_cuts",
+        "_processors", "_cycles", "_contribs", "_local_max", "_new_latency",
+        "_score", "_entries",
+    )
+
+    def __init__(
+        self,
+        d: int,
+        e: int,
+        cuts: np.ndarray,
+        processors: list[tuple[int, ...]],
+        cycles: list[tuple[np.ndarray, ...]],
+        contribs: list[tuple[np.ndarray, ...]],
+        rule: str,
+        old_cycle: float,
+        old_latency: float,
+        base_latency: float,
+        require_improvement: bool,
+    ) -> None:
+        """Rank the candidates of ``processors`` (one assignment each).
+
+        ``cuts`` holds one row per cut position (``(n_parts - 1, n_cuts)``);
+        ``cycles[a][k]`` / ``contribs[a][k]`` are the per-cut cycle times and
+        latency contributions of part ``k`` under assignment ``a``.
+        """
+        n_parts = len(cycles[0])
+        # (parts, candidates): assignment-major columns
+        cycles_arr = np.array(cycles).transpose(1, 0, 2).reshape(n_parts, -1)
+        contribs_arr = np.array(contribs).transpose(1, 0, 2).reshape(n_parts, -1)
+        local_max = cycles_arr.max(axis=0)
+        new_latency = base_latency + contribs_arr.sum(axis=0)
+        improvement_margin = _EPS * (1.0 + old_cycle)
+        if rule == SelectionRule.MONO:
+            score = local_max
+        elif rule == SelectionRule.RATIO:
+            delta_lat = new_latency - old_latency
+            delta_per = old_cycle - cycles_arr  # per part
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(
+                    delta_per > improvement_margin,
+                    delta_lat[np.newaxis, :] / delta_per,
+                    np.inf,
+                )
+            score = ratios.max(axis=0)
+        else:
+            raise ValueError(f"unknown selection rule {rule!r}")
+        if require_improvement:
+            keep = np.flatnonzero(local_max < old_cycle - improvement_margin)
+        else:
+            keep = np.arange(local_max.size)
+        # lexsort is stable: ties keep assignment-major, cut-minor order
+        self._order = keep[
+            np.lexsort((new_latency[keep], local_max[keep], score[keep]))
+        ]
+        self.neg_floor = -np.minimum.accumulate(new_latency[self._order])
+        self.old_cycle = float(old_cycle)
+        self.old_latency = float(old_latency)
+        self._d, self._e, self._cuts = d, e, cuts
+        self._processors = processors
+        self._cycles, self._contribs = cycles_arr, contribs_arr
+        self._local_max, self._new_latency, self._score = local_max, new_latency, score
+        self._entries: dict[int, tuple] = {}
+
+    def entry(self, i: int) -> tuple:
+        """Fields of the ``i``-th ranked candidate (built once, then reused).
+
+        ``(new_intervals, new_processors, new_cycles, new_contributions,
+        local_max_cycle, new_latency, score)``.
+        """
+        found = self._entries.get(i)
+        if found is None:
+            f = int(self._order[i])
+            assignment, c = divmod(f, self._cuts.shape[1])
+            cuts = self._cuts[:, c].tolist()
+            starts = [self._d] + [cut + 1 for cut in cuts]
+            ends = cuts + [self._e]
+            found = self._entries[i] = (
+                tuple(Interval(a, b) for a, b in zip(starts, ends)),
+                tuple(self._processors[assignment]),
+                tuple(self._cycles[:, f].tolist()),
+                tuple(self._contribs[:, f].tolist()),
+                float(self._local_max[f]),
+                float(self._new_latency[f]),
+                float(self._score[f]),
+            )
+        return found
+
+
+class SplitTable:
+    """Ranked two-way split candidates of one (application, platform) pair.
+
+    ``rankings`` maps a split key — interval bounds, current and new
+    processor, rule, improvement flag, and the state's cycle time of the
+    interval, latency, and latency without the interval — to its
+    :class:`_Ranking`.
+    The pair is held so the registry's ``id()`` keys cannot be recycled
+    while the table lives.
+    """
+
+    __slots__ = ("app", "platform", "rankings", "__weakref__")
+
+    def __init__(self, app: PipelineApplication, platform: Platform) -> None:
+        self.app = app
+        self.platform = platform
+        self.rankings: dict[tuple, _Ranking] = {}
+
+
+#: the open scope's tables, keyed by ``(id(application), id(platform))``
+_TABLES: ContextVar[dict[tuple[int, int], SplitTable] | None] = ContextVar(
+    "repro_split_tables", default=None
+)
+
+
+@contextmanager
+def split_tables() -> Iterator[dict[tuple[int, int], SplitTable]]:
+    """Share split tables between the heuristic runs inside the block.
+
+    Re-entrant: a nested scope joins the outer one, so the tables live as
+    long as the outermost block and are dropped when it exits.  Yields the
+    scope's registry.
+    """
+    registry = _TABLES.get()
+    if registry is not None:
+        yield registry
+        return
+    registry = {}
+    token = _TABLES.set(registry)
+    try:
+        yield registry
+    finally:
+        _TABLES.reset(token)
+
+
+def _table_for(app: PipelineApplication, platform: Platform) -> SplitTable:
+    """The open scope's table of ``(app, platform)``; a private one outside a scope."""
+    registry = _TABLES.get()
+    if registry is None:
+        return SplitTable(app, platform)
+    key = (id(app), id(platform))
+    table = registry.get(key)
+    if table is None:
+        table = registry[key] = SplitTable(app, platform)
+    return table
 
 
 class SplittingState:
@@ -132,6 +318,7 @@ class SplittingState:
         cycle, contrib = self._interval_metrics(0, self._n - 1, fastest)
         self._cycles: list[float] = [cycle]
         self._contribs: list[float] = [contrib]
+        self._table = _table_for(app, platform)
 
     # ------------------------------------------------------------------ #
     # metric helpers
@@ -218,94 +405,32 @@ class SplittingState:
     def _base_latency_without(self, j: int) -> float:
         return sum(self._contribs) - self._contribs[j] + self._tail
 
-    def _select(
-        self,
-        j: int,
-        pieces: list[dict[str, np.ndarray | tuple[int, ...] | list[Interval]]],
-        rule: str,
-        latency_cap: float | None,
-        require_improvement: bool,
+    def _pick(
+        self, ranking: _Ranking, j: int, latency_cap: float | None
     ) -> SplitCandidate | None:
-        """Pick the best candidate among vectorised blocks of candidates.
-
-        Each entry of ``pieces`` describes one *assignment pattern* (an
-        orientation of a 2-way split or a processor permutation of a 3-way
-        split) with per-cut arrays of cycle times and latency contributions.
-        """
-        old_cycle = self._cycles[j]
-        old_latency = self.latency
-        other_max = self._other_max_cycle(j)
-        base_latency = self._base_latency_without(j)
-
-        best: SplitCandidate | None = None
-        best_rank: tuple[float, float, float] | None = None
-        improvement_margin = _EPS * (1.0 + old_cycle)
-        cap = None
-        if latency_cap is not None:
+        """The best ranked candidate whose new latency is within ``latency_cap``."""
+        if latency_cap is None:
+            i = 0
+        else:
             cap = latency_cap * (1 + 1e-9) + 1e-12
-
-        for piece in pieces:
-            cycles = np.vstack(piece["cycles"])  # shape (n_parts, n_cuts)
-            contribs = np.vstack(piece["contribs"])
-            local_max = cycles.max(axis=0)
-            new_latency = base_latency + contribs.sum(axis=0)
-
-            mask = np.ones(local_max.shape, dtype=bool)
-            if require_improvement:
-                mask &= local_max < old_cycle - improvement_margin
-            if cap is not None:
-                mask &= new_latency <= cap
-            if not mask.any():
-                continue
-
-            if rule == SelectionRule.MONO:
-                score = local_max
-            elif rule == SelectionRule.RATIO:
-                delta_lat = new_latency - old_latency
-                delta_per = old_cycle - cycles  # per part
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(
-                        delta_per > improvement_margin,
-                        delta_lat[np.newaxis, :] / delta_per,
-                        np.inf,
-                    )
-                score = ratios.max(axis=0)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown selection rule {rule!r}")
-
-            candidate_indices = np.nonzero(mask)[0]
-            sub_rank = np.lexsort(
-                (
-                    new_latency[candidate_indices],
-                    local_max[candidate_indices],
-                    score[candidate_indices],
-                )
-            )
-            idx = int(candidate_indices[sub_rank[0]])
-            rank = (
-                float(score[idx]),
-                float(local_max[idx]),
-                float(new_latency[idx]),
-            )
-            if best_rank is None or rank < best_rank:
-                intervals = piece["interval_builder"](idx)
-                procs = piece["processors"]
-                best = SplitCandidate(
-                    interval_index=j,
-                    new_intervals=tuple(intervals),
-                    new_processors=tuple(procs),
-                    new_cycles=tuple(float(cycles[k, idx]) for k in range(cycles.shape[0])),
-                    new_contributions=tuple(
-                        float(contribs[k, idx]) for k in range(contribs.shape[0])
-                    ),
-                    new_period=float(max(other_max, local_max[idx])),
-                    new_latency=float(new_latency[idx]),
-                    old_cycle=float(old_cycle),
-                    old_latency=float(old_latency),
-                    score=float(score[idx]),
-                )
-                best_rank = rank
-        return best
+            i = int(np.searchsorted(ranking.neg_floor, -cap))
+        if i >= ranking.neg_floor.size:
+            return None
+        intervals, procs, cycles, contribs, local_max, new_latency, score = (
+            ranking.entry(i)
+        )
+        return SplitCandidate(
+            interval_index=j,
+            new_intervals=intervals,
+            new_processors=procs,
+            new_cycles=cycles,
+            new_contributions=contribs,
+            new_period=float(max(self._other_max_cycle(j), local_max)),
+            new_latency=new_latency,
+            old_cycle=ranking.old_cycle,
+            old_latency=ranking.old_latency,
+            score=score,
+        )
 
     def best_two_way_split(
         self,
@@ -320,45 +445,47 @@ class SplittingState:
         All cut positions and both orientations (first part kept on the
         current processor, or given to the new one) are evaluated; ``None`` is
         returned when the interval is a single stage or no candidate passes
-        the filters (improvement / latency cap).
+        the filters (improvement / latency cap).  The candidates are ranked
+        once per split key in the state's :class:`SplitTable`; the latency
+        cap only picks among them.
         """
         iv = self.intervals[j]
         d, e = iv.start, iv.end
         if e == d:
             return None
         proc_j = self.processors[j]
-        s_j = float(self._speeds[proc_j])
-        s_q = float(self._speeds[new_proc])
-
-        cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
-        # raw (input, work, output) times of both parts via the shared kernel
-        # (speed=1.0 keeps the work sums undivided; ``mid`` is the boundary
-        # communication, identical as part-1 output and part-2 input)
-        in1, w1, mid = self._part_times(np.full_like(cuts, d), cuts)
-        _, w2, out2 = self._part_times(cuts + 1, np.full_like(cuts, e))
-
-        def builder(idx: int) -> list[Interval]:
-            cut = int(cuts[idx])
-            return [Interval(d, cut), Interval(cut + 1, e)]
-
-        pieces = []
-        for first_speed, second_speed, procs in (
-            (s_j, s_q, (proc_j, new_proc)),
-            (s_q, s_j, (new_proc, proc_j)),
-        ):
-            cycle1 = in1 + w1 / first_speed + mid
-            cycle2 = mid + w2 / second_speed + out2
-            contrib1 = in1 + w1 / first_speed
-            contrib2 = mid + w2 / second_speed
-            pieces.append(
-                {
-                    "cycles": [cycle1, cycle2],
-                    "contribs": [contrib1, contrib2],
-                    "processors": procs,
-                    "interval_builder": builder,
-                }
+        old_cycle = self._cycles[j]
+        old_latency = self.latency
+        base_latency = self._base_latency_without(j)
+        key = (
+            d, e, proc_j, new_proc, rule, require_improvement,
+            old_cycle, old_latency, base_latency,
+        )
+        ranking = self._table.rankings.get(key)
+        if ranking is None:
+            s_j = float(self._speeds[proc_j])
+            s_q = float(self._speeds[new_proc])
+            cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
+            # raw (input, work, output) times of both parts via the shared
+            # kernel (speed=1.0 keeps the work sums undivided; ``mid`` is the
+            # boundary communication, part-1 output and part-2 input alike)
+            in1, w1, mid = self._part_times(np.full_like(cuts, d), cuts)
+            _, w2, out2 = self._part_times(cuts + 1, np.full_like(cuts, e))
+            processors, cycles, contribs = [], [], []
+            for first_speed, second_speed, procs in (
+                (s_j, s_q, (proc_j, new_proc)),
+                (s_q, s_j, (new_proc, proc_j)),
+            ):
+                contrib1 = in1 + w1 / first_speed
+                contrib2 = mid + w2 / second_speed
+                processors.append(procs)
+                cycles.append((contrib1 + mid, contrib2 + out2))
+                contribs.append((contrib1, contrib2))
+            ranking = self._table.rankings[key] = _Ranking(
+                d, e, cuts[np.newaxis, :], processors, cycles, contribs,
+                rule, old_cycle, old_latency, base_latency, require_improvement,
             )
-        return self._select(j, pieces, rule, latency_cap, require_improvement)
+        return self._pick(ranking, j, latency_cap)
 
     def best_three_way_split(
         self,
@@ -373,7 +500,10 @@ class SplittingState:
         All pairs of cut positions and all ``3!`` assignments of the three
         parts to ``{current processor} ∪ new_procs`` are evaluated.  ``None``
         when the interval has fewer than three stages or no candidate passes
-        the filters.
+        the filters.  The candidates go through the same :class:`_Ranking`
+        as :meth:`best_two_way_split` but are not tabled: they number
+        ``O(n²)`` per key, and frontier solves already run H2/H3 once per
+        instance.
         """
         if len(new_procs) != 2:
             raise ValueError("best_three_way_split needs exactly two new processors")
@@ -395,28 +525,21 @@ class SplittingState:
         _, w2, mid23 = self._part_times(cut1 + 1, cut2)
         _, w3, out3 = self._part_times(cut2 + 1, np.full_like(cut2, e))
 
-        def builder(idx: int) -> list[Interval]:
-            c1, c2 = int(cut1[idx]), int(cut2[idx])
-            return [Interval(d, c1), Interval(c1 + 1, c2), Interval(c2 + 1, e)]
-
-        pieces = []
+        processors, cycles, contribs = [], [], []
         for perm in permutations(procs_all):
             s1, s2, s3 = (float(self._speeds[u]) for u in perm)
-            cycle1 = in1 + w1 / s1 + mid12
-            cycle2 = mid12 + w2 / s2 + mid23
-            cycle3 = mid23 + w3 / s3 + out3
             contrib1 = in1 + w1 / s1
             contrib2 = mid12 + w2 / s2
             contrib3 = mid23 + w3 / s3
-            pieces.append(
-                {
-                    "cycles": [cycle1, cycle2, cycle3],
-                    "contribs": [contrib1, contrib2, contrib3],
-                    "processors": perm,
-                    "interval_builder": builder,
-                }
-            )
-        return self._select(j, pieces, rule, latency_cap, require_improvement)
+            processors.append(perm)
+            cycles.append((contrib1 + mid12, contrib2 + mid23, contrib3 + out3))
+            contribs.append((contrib1, contrib2, contrib3))
+        ranking = _Ranking(
+            d, e, np.vstack((cut1, cut2)), processors, cycles, contribs,
+            rule, self._cycles[j], self.latency, self._base_latency_without(j),
+            require_improvement,
+        )
+        return self._pick(ranking, j, latency_cap)
 
     # ------------------------------------------------------------------ #
     # state mutation

@@ -1,13 +1,13 @@
-"""3-Exploration heuristics: ``H2a 3-Explo-mono`` and ``H2b 3-Explo-bi``.
+"""3-Exploration heuristics: ``H2 3-Explo-mono`` and ``H3 3-Explo-bi``.
 
 At each step the interval of the bottleneck processor is split into *three*
 parts; two of them are handed to the next **pair** of fastest unused
 processors while the third stays on the bottleneck processor.  All cut-pair
 positions and all ``3!`` part-to-processor assignments are explored:
 
-* **3-Explo mono** (H2a, fixed period) keeps the candidate minimising
+* **3-Explo mono** (H2, fixed period) keeps the candidate minimising
   ``max(period(j), period(j'), period(j''))``;
-* **3-Explo bi** (H2b, fixed period) keeps the candidate minimising
+* **3-Explo bi** (H3, fixed period) keeps the candidate minimising
   ``max_{i in {j, j', j''}} Δlatency / Δperiod(i)``.
 
 The 3-exploration heuristics only ever perform genuine three-way splits: when
@@ -69,7 +69,7 @@ class _ThreeExploration(FixedPeriodHeuristic):
 
 
 class ThreeExploMono(_ThreeExploration):
-    """``H2a 3-Explo mono`` — mono-criterion 3-way exploration, fixed period."""
+    """``H2 3-Explo mono`` — mono-criterion 3-way exploration, fixed period."""
 
     name: ClassVar[str] = "3-Explo mono"
     key: ClassVar[str] = "H2"
@@ -77,7 +77,7 @@ class ThreeExploMono(_ThreeExploration):
 
 
 class ThreeExploBi(_ThreeExploration):
-    """``H2b 3-Explo bi`` — bi-criteria 3-way exploration, fixed period."""
+    """``H3 3-Explo bi`` — bi-criteria 3-way exploration, fixed period."""
 
     name: ClassVar[str] = "3-Explo bi"
     key: ClassVar[str] = "H3"

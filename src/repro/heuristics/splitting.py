@@ -1,4 +1,4 @@
-"""Splitting heuristics: ``H1 Sp-mono-P``, ``H4 Sp-mono-L`` and ``H5 Sp-bi-L``.
+"""Splitting heuristics: ``H1 Sp-mono-P``, ``H5 Sp-mono-L`` and ``H6 Sp-bi-L``.
 
 All three repeatedly split the interval of the current bottleneck processor,
 handing part of it to the next fastest unused processor:
@@ -7,10 +7,10 @@ handing part of it to the next fastest unused processor:
   minimising ``max(period(j), period(j'))`` provided it improves on the
   current bottleneck; stop as soon as the prescribed period is reached or no
   improving split exists.
-* **Sp mono L** (H4, fixed latency): same selection rule, but splits are only
+* **Sp mono L** (H5, fixed latency): same selection rule, but splits are only
   allowed while the global latency stays within the prescribed bound, and
   splitting continues as long as the period keeps improving.
-* **Sp bi L** (H5, fixed latency): same loop as H4 but the split is selected
+* **Sp bi L** (H6, fixed latency): same loop as H5 but the split is selected
   by the bi-criteria rule ``min max_i Δlatency / Δperiod(i)``.
 """
 
@@ -71,7 +71,7 @@ class SplittingMonoPeriod(FixedPeriodHeuristic):
 
 
 class _FixedLatencySplitting(FixedLatencyHeuristic):
-    """Common loop of the fixed-latency splitting heuristics (H4 / H5)."""
+    """Common loop of the fixed-latency splitting heuristics (H5 / H6)."""
 
     rule: ClassVar[str] = SelectionRule.MONO
 
@@ -105,7 +105,7 @@ class _FixedLatencySplitting(FixedLatencyHeuristic):
 
 
 class SplittingMonoLatency(_FixedLatencySplitting):
-    """``H4 Sp mono L`` — mono-criterion splitting for a fixed latency."""
+    """``H5 Sp mono L`` — mono-criterion splitting for a fixed latency."""
 
     name: ClassVar[str] = "Sp mono L"
     key: ClassVar[str] = "H5"
@@ -113,7 +113,7 @@ class SplittingMonoLatency(_FixedLatencySplitting):
 
 
 class SplittingBiLatency(_FixedLatencySplitting):
-    """``H5 Sp bi L`` — bi-criteria splitting for a fixed latency."""
+    """``H6 Sp bi L`` — bi-criteria splitting for a fixed latency."""
 
     name: ClassVar[str] = "Sp bi L"
     key: ClassVar[str] = "H6"

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from ..cache.keys import CacheKey, frontier_key, solve_key
 from ..core import kernels
 from ..core.identity import instance_digest
+from ..heuristics.engine import split_tables
 from ..utils.parallel import WorkerPool, parallel_map, resolve_worker_count
 from ..utils.shm import InstanceArena, resolve_instance
 from .base import SolveRequest, SolveResult
@@ -386,7 +387,8 @@ def _solve_tasks(
         frontier_keys.append(fkey)
         units.append((handle, pair, question, document))
 
-    # -- dispatch every unit in one map: arena refs when pooled ---------- #
+    # -- dispatch every unit in one map: arena refs when pooled; a serial
+    # map shares one split-table scope across the whole batch ------------ #
     run = pool.map if pool is not None else partial(parallel_map, workers=workers)
     n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
     if n_workers > 1 and len(units) > 1:
@@ -396,7 +398,8 @@ def _solve_tasks(
                 _solve_unit, shipped, batch_size=batch_size, payload=arena.shipment()
             )
     else:
-        outcomes = run(_solve_unit, units, batch_size=batch_size)
+        with split_tables():
+            outcomes = run(_solve_unit, units, batch_size=batch_size)
 
     # -- back-fill and memoise -------------------------------------------- #
     n_solved = n_groups = n_extracted = 0
