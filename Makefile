@@ -123,7 +123,10 @@ bench-sweep:
 ## CI's solver-daemon smoke slice: start `serve` in the background, run the
 ## same batch twice through `batch --server`, assert the two stdout reports
 ## are byte-identical and the second pass hit the daemon's warm cache, then
-## SIGTERM the daemon and require a clean (drained) exit 0
+## SIGTERM the daemon and require a clean (drained) exit 0; then run the
+## batch once more through a second daemon with a 2-worker pool (instances
+## ship to its workers through an instance arena) and assert its report is
+## byte-identical to the serial daemon's cold one, with a clean drain too
 serve-smoke:
 	rm -rf .serve-smoke && mkdir -p .serve-smoke
 	set -e; \
@@ -145,6 +148,18 @@ serve-smoke:
 			print('daemon cache hit rate:', s['cache']['hit_rate'])"; \
 	kill -TERM $$SRV; rc=0; wait $$SRV || rc=$$?; trap - EXIT; \
 	test $$rc -eq 0 || { echo "daemon exited $$rc (want 0)"; cat .serve-smoke/serve.log; exit 1; }
+	set -e; \
+	$(PYTHON) -m repro.cli serve --socket .serve-smoke/pooled.sock --workers 2 \
+		2> .serve-smoke/pooled.log & SRV=$$!; \
+	trap 'kill $$SRV 2>/dev/null || true' EXIT; \
+	$(PYTHON) -m repro.cli client ping --socket .serve-smoke/pooled.sock \
+		--wait 30 > /dev/null; \
+	$(PYTHON) -m repro.cli batch --family E1 --stages 8 --processors 6 \
+		--instances 10 --repeat 2 --period 12 --latency 60 \
+		--server .serve-smoke/pooled.sock > .serve-smoke/pooled.txt; \
+	cmp .serve-smoke/cold.txt .serve-smoke/pooled.txt; \
+	kill -TERM $$SRV; rc=0; wait $$SRV || rc=$$?; trap - EXIT; \
+	test $$rc -eq 0 || { echo "pooled daemon exited $$rc (want 0)"; cat .serve-smoke/pooled.log; exit 1; }
 	rm -rf .serve-smoke
 
 ## CI's daemon determinism slice: run the coalescer, daemon and worker-fault

@@ -14,7 +14,7 @@ Two ideas, one data structure:
   event-loop beat, such as the tasks of one ``batch`` op) waits and is
   flushed as the next batch, at most ``max_batch`` tasks at a time.  The
   daemon pushes each batch through
-  :func:`repro.solvers.service.solve_frontier_many` so the shared-memory arena,
+  :func:`repro.solvers.service.solve_frontier_many` so the instance arena,
   the worker pool and the dedupe/cache probe amortise across clients.
 
 The coalescer is a pure asyncio object: it never touches sockets or

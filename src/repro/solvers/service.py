@@ -18,8 +18,8 @@ list of ``(instance, solver, request)`` triples.  Either way the core
    runs direct;
 4. **dispatches** every unit in one pool map
    (:func:`repro.utils.parallel.parallel_map` or a persistent
-   :class:`~repro.utils.parallel.WorkerPool`), shipping instances as
-   shared-memory refs when pooled;
+   :class:`~repro.utils.parallel.WorkerPool`), shipping instances once
+   per worker as :class:`~repro.utils.shm.InstanceArena` refs when pooled;
 5. **back-fills** results in input order and memoises them (frontier
    documents included).
 
@@ -313,7 +313,7 @@ def _solve_unit(unit: tuple[Solver, Any, Any, dict | None]) -> Any:
     """One dispatch unit (module-level, picklable): a direct solve or a group.
 
     ``unit`` is ``(solver, instance, question, document)``: the instance is
-    a pair or a shared-memory :class:`~repro.utils.shm.InstanceRef` (each
+    a pair or an arena :class:`~repro.utils.shm.InstanceRef` (each
     rehydrated at most once per worker); the question is a
     :class:`~repro.solvers.base.SolveRequest` for a direct solve, or the
     threshold tuple of a frontier group answered from ``document`` (a warm
@@ -392,11 +392,11 @@ def _solve_tasks(
     run = pool.map if pool is not None else partial(parallel_map, workers=workers)
     n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
     if n_workers > 1 and len(units) > 1:
-        with InstanceArena(unit[1] for unit in units) as arena:
-            shipped = [(h, arena.ref(*pair), q, d) for h, pair, q, d in units]
-            outcomes = run(
-                _solve_unit, shipped, batch_size=batch_size, payload=arena.shipment()
-            )
+        arena = InstanceArena(unit[1] for unit in units)
+        shipped = [(h, arena.ref(*pair), q, d) for h, pair, q, d in units]
+        outcomes = run(
+            _solve_unit, shipped, batch_size=batch_size, payload=arena.shipment()
+        )
     else:
         with split_tables():
             outcomes = run(_solve_unit, units, batch_size=batch_size)

@@ -14,9 +14,10 @@ that with a :class:`concurrent.futures.ProcessPoolExecutor` process pool:
 * **ship-once transport** — the mapped function travels to each worker
   exactly once through the pool initializer (not once per chunk), the
   parent's active kernel backend (:mod:`repro.core.kernels`) is mirrored
-  into every worker, and an optional ``payload`` (e.g. the shared-memory
-  :class:`repro.utils.shm.InstanceShipment`) is installed per worker the
-  same way;
+  into every worker, and an optional ``payload`` (e.g. the
+  :class:`repro.utils.shm.InstanceShipment` of an instance arena) is
+  installed per worker the same way — inherited through ``fork``, so its
+  bytes are never pickled;
 * **graceful degradation** — ``workers=None``/``0``/``1`` or a single-item
   input fall back to a plain serial loop, so callers never need a special
   case;
@@ -27,9 +28,10 @@ that with a :class:`concurrent.futures.ProcessPoolExecutor` process pool:
 :class:`WorkerPool` is the persistent variant for the solver daemon; its
 chunks carry their own function, so functions mapped through it must be
 picklable: module-level functions, or :func:`functools.partial`
-applications of module-level functions.  Every object of the core data
-model (applications, platforms, mappings, heuristic results) pickles
-cleanly.
+applications of module-level functions.  Its payload is pickled with every
+chunk too, and installed only when it differs from the worker's current
+one.  Every object of the core data model (applications, platforms,
+mappings, heuristic results) pickles cleanly.
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ class WorkerPayload(Protocol):
 
 
 #: per-worker state, set only by :func:`_install`: the mapped function and
-#: the installed payload (payloads are content-shaped — the shm catalog maps
-#: content digests — so comparing them by equality is sound)
+#: the installed payload (payloads are content-shaped — a shipment's catalog
+#: maps content digests to canonical payloads — so comparing them by
+#: equality is sound)
 _WORKER_FN: Callable | None = None
 _WORKER_PAYLOAD: object | None = None
 

@@ -182,44 +182,36 @@ def _journal_line(task: WorkloadTask, result: Any) -> str:
     return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_journal(path: str | Path, plan: WorkloadPlan) -> dict[str, Any]:
-    """Replay a journal's completed tasks (digest -> result).
+def _scan_journal(path: Path) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
+    """Parse one journal into (header, entries), tolerating a truncated tail.
 
-    The header's plan digest must match ``plan`` — a journal belongs to
-    exactly one plan.  A truncated trailing line is tolerated (the writer
-    died mid-append); corrupt content before that is an error.  Entries for
-    digests the plan does not contain are ignored defensively, and so are
-    entries for tasks carrying a wall-clock ``time_budget`` — their results
-    are machine-dependent, so a resumed run re-executes them instead of
-    replaying a stale measurement (the engine does not write such records
-    in the first place; this guards against journals from older builds).
+    A final line that fails to parse is the writer's mid-append death and
+    is dropped; corrupt content anywhere before it is an error.  An empty
+    file, or a lone truncated header line, means the writer died before
+    checkpointing anything: the header is ``None`` and there are no entries.
     """
-    path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
-        return {}
+        return None, []
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         if "\n" not in text:
-            # the writer died inside the very first (header) line: nothing
-            # was checkpointed, so the journal is simply empty
-            return {}
+            return None, []
         raise JournalError(f"journal {path} has an unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") != "workload-journal":
+        raise JournalError(
+            f"journal {path} is not a workload journal (header kind "
+            f"{header.get('kind') if isinstance(header, dict) else header!r})"
+        )
     if header.get("schema") != JOURNAL_SCHEMA:
         raise JournalError(
             f"journal {path} has unsupported schema {header.get('schema')!r} "
-            f"(expected {JOURNAL_SCHEMA})"
+            f"(expected {JOURNAL_SCHEMA}); it was written by an incompatible "
+            "build — re-run it with this one"
         )
-    if header.get("plan") != plan.digest:
-        raise JournalError(
-            f"journal {path} was written for plan "
-            f"{str(header.get('plan'))[:12]}..., not {plan.digest[:12]}...; "
-            "refusing to replay results across different plans"
-        )
-    known = {task.digest: task for task in plan.tasks}
-    completed: dict[str, Any] = {}
+    entries: list[dict[str, Any]] = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -229,7 +221,42 @@ def load_journal(path: str | Path, plan: WorkloadPlan) -> dict[str, Any]:
             if i == len(lines):
                 break  # truncated tail: the writer was interrupted mid-line
             raise JournalError(f"journal {path} is corrupt at line {i}")
-        task = known.get(entry.get("task"))
+        if not isinstance(entry, dict) or "task" not in entry:
+            raise JournalError(
+                f"journal {path} line {i} is not a task record (no 'task' key)"
+            )
+        entries.append(entry)
+    return header, entries
+
+
+def load_journal(path: str | Path, plan: WorkloadPlan) -> dict[str, Any]:
+    """Replay a journal's completed tasks (digest -> result).
+
+    The header's plan digest must match ``plan`` — a journal belongs to
+    exactly one plan.  A truncated trailing line is tolerated (the writer
+    died mid-append); corrupt content before that is an error.  An empty
+    journal, or one holding only a truncated header, replays as ``{}``.
+    Entries for digests the plan does not contain are ignored defensively,
+    and so are entries for tasks carrying a wall-clock ``time_budget`` —
+    their results are machine-dependent, so a resumed run re-executes them
+    instead of replaying a stale measurement (the engine does not write
+    such records in the first place; this guards against journals from
+    older builds).
+    """
+    path = Path(path)
+    header, entries = _scan_journal(path)
+    if header is None:
+        return {}
+    if header.get("plan") != plan.digest:
+        raise JournalError(
+            f"journal {path} was written for plan "
+            f"{str(header.get('plan'))[:12]}..., not {plan.digest[:12]}...; "
+            "refusing to replay results across different plans"
+        )
+    known = {task.digest: task for task in plan.tasks}
+    completed: dict[str, Any] = {}
+    for entry in entries:
+        task = known.get(entry["task"])
         if task is None or task.time_budget is not None:
             continue
         if entry.get("kind") == "differential":
@@ -299,59 +326,6 @@ class MergeSummary:
     n_duplicates: int
 
 
-def _scan_journal(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Parse one journal into (header, entries), tolerating a truncated tail.
-
-    The tolerance mirrors :func:`load_journal`: a final line that fails to
-    parse is the writer's mid-append death and is dropped; corrupt content
-    anywhere before it is an error.
-    """
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise JournalError(
-            f"journal {path} is empty (no header line); a shard that never "
-            "started has nothing to merge — drop it from the input list"
-        )
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        if len(lines) == 1:
-            raise JournalError(
-                f"journal {path} holds only a truncated header (the writer "
-                "died before checkpointing anything); drop it from the "
-                "input list"
-            ) from exc
-        raise JournalError(f"journal {path} has an unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("kind") != "workload-journal":
-        raise JournalError(
-            f"journal {path} is not a workload journal (header kind "
-            f"{header.get('kind') if isinstance(header, dict) else header!r})"
-        )
-    if header.get("schema") != JOURNAL_SCHEMA:
-        raise JournalError(
-            f"journal {path} has unsupported schema {header.get('schema')!r} "
-            f"(expected {JOURNAL_SCHEMA}); re-run that shard with this build "
-            "instead of merging journals across incompatible formats"
-        )
-    entries: list[dict[str, Any]] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines):
-                break  # truncated tail: the shard writer was interrupted
-            raise JournalError(f"journal {path} is corrupt at line {i}")
-        if not isinstance(entry, dict) or "task" not in entry:
-            raise JournalError(
-                f"journal {path} line {i} is not a task record (no 'task' key)"
-            )
-        entries.append(entry)
-    return header, entries
-
-
 def _record_identity(entry: dict[str, Any]) -> bytes:
     """Canonical bytes of a record with run provenance stripped.
 
@@ -397,6 +371,12 @@ def merge_journals(
     n_duplicates = 0
     for path in paths:
         header, entries = _scan_journal(path)
+        if header is None:
+            raise JournalError(
+                f"journal {path} is empty or holds only a truncated header "
+                "(the writer died before checkpointing anything), so it has "
+                "nothing to merge; drop it from the input list"
+            )
         if reference_header is None:
             reference_header, reference_path = header, path
         elif header.get("plan") != reference_header.get("plan"):
@@ -457,7 +437,7 @@ def merge_journals(
 def _oracle_task(n_datasets: int, cache, item) -> "DifferentialReport":
     """One oracle run (module-level, pool-picklable).
 
-    ``item`` is an ``(application, platform)`` pair or a shared-memory
+    ``item`` is an ``(application, platform)`` pair or an arena
     :class:`~repro.utils.shm.InstanceRef` to one.
     """
     from ..scenarios.differential import differential_check
@@ -693,14 +673,14 @@ def _execute_plan_active(
             for start in range(0, len(batch), step):
                 chunk = batch[start : start + step]
                 pairs = [plan.pair_for(task.instance_hash) for task in chunk]
-                with InstanceArena(pairs) as arena:
-                    reports = parallel_map(
-                        partial(_oracle_task, n_datasets, cache),
-                        [arena.ref(app, plat) for app, plat in pairs],
-                        workers=workers,
-                        batch_size=batch_size,
-                        payload=arena.shipment(),
-                    )
+                arena = InstanceArena(pairs)
+                reports = parallel_map(
+                    partial(_oracle_task, n_datasets, cache),
+                    [arena.ref(app, plat) for app, plat in pairs],
+                    workers=workers,
+                    batch_size=batch_size,
+                    payload=arena.shipment(),
+                )
                 for task, report in zip(chunk, reports):
                     completed[task.digest] = report
                     if handle is not None:

@@ -149,12 +149,12 @@ class TestClassificationCache:
         ]
         for _, platform in pairs:
             platform.platform_class
-        with InstanceArena(pairs) as arena:
-            arena.shipment().install()
-            for pair in pairs:
-                _, platform = resolve_instance(arena.ref(*pair))
-                assert platform.platform_class is pair[1].platform_class
-                assert platform.platform_class is platform._classify()
+        arena = InstanceArena(pairs)
+        arena.shipment().install()
+        for pair in pairs:
+            _, platform = resolve_instance(arena.ref(*pair))
+            assert platform.platform_class is pair[1].platform_class
+            assert platform.platform_class is platform._classify()
 
 
 class TestOrderingHelpers:

@@ -1,17 +1,17 @@
-"""The zero-pickle instance transport (:mod:`repro.utils.shm`) and the
-ship-once pool plumbing (:mod:`repro.utils.parallel`).
+"""The ship-once instance transport (:mod:`repro.utils.shm`) and the
+pool plumbing it rides on (:mod:`repro.utils.parallel`).
 
 Contracts under test:
 
 * the arena publishes each **unique** instance once (dedup by canonical
   digest) and workers rehydrate each digest **at most once per process**,
   no matter how many tasks reference it — asserted from inside real pool
-  workers via :func:`repro.utils.shm.worker_attach_counts`;
+  workers (of :func:`~repro.utils.parallel.parallel_map` and of a
+  persistent :class:`~repro.utils.parallel.WorkerPool`) via
+  :func:`repro.utils.shm.worker_attach_counts`;
 * rehydrated instances are exact: the canonical JSON payloads round-trip
   the float values bit for bit, so pooled reports stay byte-identical to
   serial ones;
-* the transport degrades gracefully: no ``/dev/shm`` (``REPRO_DISABLE_SHM``)
-  means inline bytes through the initializer — still once per worker;
 * the mapped function travels through the pool **initializer**, never
   inside task tuples (the historical once-per-chunk pickling);
 * ``available_cpus`` respects the scheduler affinity mask, so cgroup- or
@@ -23,9 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -33,7 +30,7 @@ from repro.core.identity import instance_digest
 from repro.generators.experiments import experiment_config, generate_instances
 from repro.solvers.service import solve_many
 from repro.utils import parallel, shm
-from repro.utils.parallel import available_cpus, parallel_map
+from repro.utils.parallel import WorkerPool, available_cpus, parallel_map
 from repro.utils.shm import InstanceArena, InstanceRef, resolve_instance
 
 
@@ -52,6 +49,18 @@ def _resolve_and_snapshot(ref: InstanceRef):
     return os.getpid(), app.n_stages, dict(shm.worker_attach_counts())
 
 
+def _resolve_in_pool(ref: InstanceRef):
+    """Pool task: resolve one ref; report the pair's digest, this worker's
+    resolver state (a re-install replaces it) and its rehydration counts."""
+    pair = resolve_instance(ref)
+    return (
+        os.getpid(),
+        id(shm._STATE),
+        instance_digest(*pair),
+        dict(shm.worker_attach_counts()),
+    )
+
+
 def _has_fork() -> bool:
     try:
         multiprocessing.get_context("fork")
@@ -67,128 +76,57 @@ class TestInstanceArena:
     def test_publishes_each_unique_instance_once(self):
         instances = _instances(3)
         pairs = _pairs(instances)
-        with InstanceArena(pairs * 5) as arena:  # repeated stream, 3 unique
-            assert arena.n_instances == 3
-            for app, platform in pairs:
-                assert arena.ref(app, platform) == InstanceRef(
-                    instance_digest(app, platform)
-                )
+        arena = InstanceArena(pairs * 5)  # repeated stream, 3 unique
+        assert arena.n_instances == 3
+        for app, platform in pairs:
+            assert arena.ref(app, platform) == InstanceRef(
+                instance_digest(app, platform)
+            )
+
+    def test_size_is_the_total_payload_bytes(self):
+        from repro.core.identity import application_payload, platform_payload
+
+        pairs = _pairs(_instances(3))
+        shipment = InstanceArena(pairs * 2).shipment()
+        assert shipment.size == sum(
+            len(application_payload(app)) + len(platform_payload(platform))
+            for app, platform in pairs
+        )
 
     def test_ref_of_unpublished_instance_raises(self):
         first, second = _instances(2)
-        with InstanceArena([(first.application, first.platform)]) as arena:
-            with pytest.raises(KeyError):
-                arena.ref(second.application, second.platform)
+        arena = InstanceArena([(first.application, first.platform)])
+        with pytest.raises(KeyError):
+            arena.ref(second.application, second.platform)
 
     def test_refs_pickle_small(self):
         """The point of the transport: tasks carry digests, not instances."""
         config = experiment_config("E2", 24, 8, n_instances=1)
         inst = generate_instances(config, seed=23)[0]
         pair = (inst.application, inst.platform)
-        with InstanceArena([pair]) as arena:
-            ref = arena.ref(*pair)
-            assert len(pickle.dumps(ref)) < len(pickle.dumps(pair)) / 10
+        ref = InstanceArena([pair]).ref(*pair)
+        assert len(pickle.dumps(ref)) < len(pickle.dumps(pair)) / 10
+
+    def test_resolve_passes_non_refs_through(self):
+        pair = _pairs(_instances(1))[0]
+        assert resolve_instance(pair) is pair
+
+    def test_resolve_of_digest_missing_from_shipment_raises(self):
+        first, second = _pairs(_instances(2))
+        InstanceArena([first]).shipment().install()
+        with pytest.raises(KeyError, match="not in the shipment catalog"):
+            resolve_instance(InstanceRef(instance_digest(*second)))
 
     def test_rehydration_is_exact(self):
         """Round-tripped instances have the same canonical digest."""
         for inst in _instances(4):
             pair = (inst.application, inst.platform)
-            with InstanceArena([pair]) as arena:
-                arena.shipment().install()
-                app, platform = resolve_instance(arena.ref(*pair))
+            arena = InstanceArena([pair])
+            arena.shipment().install()
+            app, platform = resolve_instance(arena.ref(*pair))
             assert instance_digest(app, platform) == instance_digest(*pair)
             assert app.name == inst.application.name
             assert platform.name == inst.platform.name
-
-    def test_inline_fallback_without_shared_memory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        instances = _instances(2)
-        with InstanceArena(_pairs(instances)) as arena:
-            assert not arena.uses_shared_memory
-            shipment = arena.shipment()
-            assert shipment.segment is None and shipment.inline is not None
-            shipment.install()
-            for inst in instances:
-                pair = (inst.application, inst.platform)
-                app, platform = resolve_instance(arena.ref(*pair))
-                assert instance_digest(app, platform) == instance_digest(*pair)
-
-
-# ----------------------------------------------------------------------------- #
-# segment lifetime: no stale /dev/shm files, however the parent dies
-# ----------------------------------------------------------------------------- #
-_ARENA_SCRIPT = """\
-import sys
-from repro.generators.experiments import experiment_config, generate_instances
-from repro.utils.shm import InstanceArena
-
-config = experiment_config("E2", 4, 3, n_instances=1)
-inst = generate_instances(config, seed=5)[0]
-arena = InstanceArena([(inst.application, inst.platform)])
-assert arena.uses_shared_memory
-print(arena.shipment().segment, flush=True)
-if "--hang" in sys.argv:
-    import time
-    time.sleep(120)
-# otherwise: exit WITHOUT close() — the atexit guard must unlink the segment
-"""
-
-
-@pytest.mark.skipif(not shm.shm_supported(), reason="needs /dev/shm")
-class TestSegmentLifetime:
-    def _spawn(self, *extra: str) -> tuple[subprocess.Popen, str]:
-        process = subprocess.Popen(
-            [sys.executable, "-c", _ARENA_SCRIPT, *extra],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        segment = process.stdout.readline().strip()
-        assert segment, "the child never published a segment"
-        return process, os.path.join("/dev/shm", segment)
-
-    @staticmethod
-    def _wait_gone(path: str, timeout: float = 15.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not os.path.exists(path):
-                return True
-            time.sleep(0.1)
-        return not os.path.exists(path)
-
-    def test_killed_parent_leaves_no_stale_segment(self):
-        """SIGKILL skips atexit and __del__ both; the resource tracker —
-        a separate process that outlives the parent — unlinks the segment
-        the parent registered at creation."""
-        process, path = self._spawn("--hang")
-        try:
-            assert os.path.exists(path)
-            process.kill()
-            process.wait(timeout=30)
-            assert self._wait_gone(path), f"stale segment {path} after SIGKILL"
-        finally:
-            if process.poll() is None:  # pragma: no cover - cleanup
-                process.kill()
-                process.wait()
-
-    def test_exit_without_close_leaves_no_stale_segment(self):
-        """A parent that simply returns without close() triggers the atexit
-        guard, which unlinks (and deregisters) the segment — so the
-        resource tracker has nothing to complain about either."""
-        process, path = self._spawn()
-        _, stderr = process.communicate(timeout=30)
-        assert process.returncode == 0, stderr
-        assert self._wait_gone(path), f"stale segment {path} after clean exit"
-        assert "leaked shared_memory" not in stderr
-
-    def test_atexit_guard_skips_closed_arenas(self):
-        """close() discards the arena from the guard's live set."""
-        pairs = _pairs(_instances(1))
-        arena = InstanceArena(pairs)
-        assert arena in shm._LIVE_ARENAS
-        arena.close()
-        assert arena not in shm._LIVE_ARENAS
-        shm._close_live_arenas()  # no-op on the closed arena
 
 
 # ----------------------------------------------------------------------------- #
@@ -196,33 +134,70 @@ class TestSegmentLifetime:
 # ----------------------------------------------------------------------------- #
 @pytest.mark.skipif(not _has_fork(), reason="needs the fork start method")
 class TestShipOnce:
-    @pytest.mark.parametrize("disable_shm", [False, True])
-    def test_workers_rehydrate_each_digest_at_most_once(
-        self, monkeypatch, disable_shm
-    ):
+    def test_workers_rehydrate_each_digest_at_most_once(self):
         """24 tasks over 3 instances: every worker count stays at 1.
 
         One worker may drain every chunk before the other starts, so the
         check is on what matters: each snapshot comes from a pool worker
         (not the parent), and no worker rehydrated a digest twice.
         """
-        if disable_shm:
-            monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         pairs = _pairs(_instances(3))
-        with InstanceArena(pairs) as arena:
-            assert arena.uses_shared_memory is not disable_shm
-            refs = [arena.ref(*pair) for pair in pairs] * 8
-            snapshots = parallel_map(
-                _resolve_and_snapshot,
-                refs,
-                workers=2,
-                batch_size=3,
-                payload=arena.shipment(),
-            )
+        arena = InstanceArena(pairs)
+        refs = [arena.ref(*pair) for pair in pairs] * 8
+        snapshots = parallel_map(
+            _resolve_and_snapshot,
+            refs,
+            workers=2,
+            batch_size=3,
+            payload=arena.shipment(),
+        )
         assert len(snapshots) == len(refs)
         for pid, _, counts in snapshots:
             assert pid != os.getpid()  # the pool actually ran
             assert counts  # instrumentation is live in the workers
+            assert all(count == 1 for count in counts.values())
+
+    def test_persistent_pool_keeps_an_equal_shipment_across_maps(self):
+        """The daemon's path: a :class:`WorkerPool` pickles the shipment with
+        every chunk, and a worker re-installs it only when it differs.
+
+        Two maps carrying one arena's shipment leave every worker's count at
+        exactly 1 per digest, under one resolver state per worker; a third
+        map with a different shipment re-installs it and resolves correctly.
+        """
+        first, second = _pairs(_instances(3)), _pairs(_instances(6)[3:])
+        arena = InstanceArena(first)
+        refs = [arena.ref(*pair) for pair in first] * 8
+        with WorkerPool(workers=2) as pool:
+            runs = [
+                pool.map(_resolve_in_pool, refs, batch_size=3, payload=arena.shipment())
+                for _ in range(2)
+            ]
+            other = InstanceArena(second)
+            third = pool.map(
+                _resolve_in_pool,
+                [other.ref(*pair) for pair in second] * 4,
+                batch_size=3,
+                payload=other.shipment(),
+            )
+
+        expected = [instance_digest(*pair) for pair in first] * 8
+        states: dict[int, set[int]] = {}
+        for run in runs:
+            assert [digest for _, _, digest, _ in run] == expected
+            for pid, state, _, counts in run:
+                assert pid != os.getpid()  # the pool actually ran
+                assert counts and all(count == 1 for count in counts.values())
+                states.setdefault(pid, set()).add(state)
+        assert all(len(ids) == 1 for ids in states.values())  # never re-installed
+
+        fresh = {instance_digest(*pair) for pair in second}
+        assert [digest for _, _, digest, _ in third] == [
+            instance_digest(*pair) for pair in second
+        ] * 4
+        for pid, state, _, counts in third:
+            assert state not in states.get(pid, set())
+            assert set(counts) <= fresh
             assert all(count == 1 for count in counts.values())
 
     def test_mapped_function_never_rides_in_task_tuples(self):

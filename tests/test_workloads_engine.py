@@ -11,6 +11,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.generators.experiments import experiment_config, generate_instances
 from repro.scenarios.families import generate_scenarios
 from repro.workloads import (
+    JOURNAL_SCHEMA,
     CsvSink,
     JournalError,
     JsonlSink,
@@ -228,6 +229,42 @@ class TestJournalResume:
         lines[2] = "{corrupt"
         journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(JournalError, match="corrupt"):
+            load_journal(journal, plan)
+
+    def test_empty_journal_replays_as_nothing(self, plan, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(b"")
+        assert load_journal(journal, plan) == {}
+
+    def test_lone_truncated_header_replays_as_nothing(self, plan, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text('{"schema":1,"kind":"workload-jo', encoding="utf-8")
+        assert load_journal(journal, plan) == {}
+
+    def test_foreign_header_kind_is_rejected(self, plan, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text('{"kind":"something-else"}\n', encoding="utf-8")
+        with pytest.raises(JournalError, match="not a workload journal"):
+            load_journal(journal, plan)
+
+    def test_unsupported_schema_is_rejected(self, plan, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        execute_plan(plan, journal=journal)
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = JOURNAL_SCHEMA + 1
+        lines[0] = json.dumps(header)
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalError, match="unsupported schema"):
+            load_journal(journal, plan)
+
+    def test_record_without_task_key_is_an_error(self, plan, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        execute_plan(plan, journal=journal)
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        lines[1] = '{"kind":"solve"}'
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalError, match="not a task record"):
             load_journal(journal, plan)
 
 
