@@ -53,9 +53,20 @@ cache-smoke:
 
 ## fast differential-verification slice; CI's PR gate runs exactly this
 ## target (the nightly job runs the same command with --count 2000) and
-## uploads anything written to fuzz-counterexamples/ as an artifact
+## uploads anything written to fuzz-counterexamples/ as an artifact.  The
+## stream runs twice: on the default kernels (the compiled engine wherever
+## it validated) and under REPRO_KERNELS_DISABLE=all (numpy, as on a host
+## without a compiler); the two stdout reports must be byte-identical
 fuzz-smoke:
-	$(PYTHON) -m repro.cli fuzz --count 100 --seed 0 --corpus fuzz-counterexamples
+	rm -rf .fuzz-smoke && mkdir -p .fuzz-smoke
+	$(PYTHON) -m repro.cli fuzz --count 100 --seed 0 --corpus fuzz-counterexamples \
+		> .fuzz-smoke/default.txt || { cat .fuzz-smoke/default.txt; exit 1; }
+	cat .fuzz-smoke/default.txt
+	REPRO_KERNELS_DISABLE=all $(PYTHON) -m repro.cli fuzz --count 100 --seed 0 \
+		--corpus fuzz-counterexamples \
+		> .fuzz-smoke/numpy.txt || { cat .fuzz-smoke/numpy.txt; exit 1; }
+	cmp .fuzz-smoke/default.txt .fuzz-smoke/numpy.txt
+	rm -rf .fuzz-smoke
 
 ## heterogeneous-only fuzz slice: glob family selection, exercises the
 ## anytime local-search invariants on every instance small enough for them

@@ -1,12 +1,12 @@
-"""Runtime of the exact solvers: scalar versus vectorized homogeneous DP.
+"""Runtime of the exact solvers: scalar versus vectorized homogeneous DP tables.
 
-The homogeneous DPs of :mod:`repro.exact.homogeneous_dp` run their
-``O(n^2 p)`` inner loops either as the original scalar Python loops
-(``backend="scalar"``, kept as the reference implementation) or as NumPy
-prefix-sum / broadcast kernels in the style of
-:func:`repro.core.costs.evaluate_batch`.  This benchmark measures both paths
-on the acceptance case (n=64 stages, p=16 processors), asserts that they
-return identical optima, and records the speedup in
+The homogeneous DPs of :mod:`repro.exact.homogeneous_dp` build their tables
+with the NumPy broadcast/reduce kernels of :mod:`repro.core.kernels.reference`
+(or the compiled engine, gated separately by ``bench_kernel_speedup.py``).
+The original scalar Python loops stay beside them as the reference
+implementation.  This benchmark times both table builders directly on the
+acceptance case (n=64 stages, p=16 processors), asserts that they return
+identical optima, and records the speedup in
 ``benchmarks/results/exact_runtime.txt``.
 
 A registry-dispatch timing rides along: the same DP fetched through the
@@ -22,9 +22,11 @@ import numpy as np
 
 from bench_utils import write_report
 from repro.core.application import PipelineApplication
+from repro.core.kernels import reference
 from repro.core.platform import Platform
 from repro.exact.homogeneous_dp import (
-    homogeneous_min_latency_for_period,
+    _cycle_matrix,
+    _latency_term_matrix,
     homogeneous_min_period,
 )
 from repro.solvers import get_solver
@@ -60,19 +62,23 @@ def _best_of(fn, rounds: int = _ROUNDS) -> tuple[float, object]:
 
 
 def test_homogeneous_min_period_vectorized_speedup():
-    """Vectorized min-period DP: same optimum, >= 5x faster at n=64, p=16."""
+    """Vectorized min-period tables: same tables, >= 5x faster at n=64, p=16."""
     app, platform = _instance()
+    cycle = _cycle_matrix(app, platform)
+    n, p = N_STAGES, N_PROCESSORS
     t_scalar, scalar = _best_of(
-        lambda: homogeneous_min_period(app, platform, backend="scalar")
+        lambda: reference.min_period_tables_scalar(cycle, n, p)
     )
-    t_vector, vector = _best_of(lambda: homogeneous_min_period(app, platform))
+    t_vector, vector = _best_of(
+        lambda: reference.min_period_tables_numpy(cycle, n, p)
+    )
 
-    assert scalar[1] == vector[1], "scalar and vectorized optima differ"
-    assert scalar[0] == vector[0], "scalar and vectorized mappings differ"
+    assert np.array_equal(scalar[0], vector[0]), "scalar and vectorized dp tables differ"
+    assert np.array_equal(scalar[1], vector[1]), "scalar and vectorized parent tables differ"
 
     speedup = t_scalar / t_vector if t_vector > 0 else float("inf")
     _LINES.append(
-        f"homogeneous_min_period(n={N_STAGES}, p={N_PROCESSORS}): "
+        f"min_period_tables(n={N_STAGES}, p={N_PROCESSORS}): "
         f"scalar {t_scalar * 1e3:.2f} ms vs vectorized {t_vector * 1e3:.2f} ms "
         f"-> {speedup:.1f}x"
     )
@@ -80,25 +86,28 @@ def test_homogeneous_min_period_vectorized_speedup():
 
 
 def test_homogeneous_min_latency_for_period_vectorized_speedup():
-    """Vectorized period-constrained DP: same optimum, >= 5x faster."""
+    """Vectorized period-constrained tables: same optimum, >= 5x faster."""
     app, platform = _instance()
-    _, (_, optimum) = _best_of(lambda: homogeneous_min_period(app, platform), 1)
+    _, optimum = homogeneous_min_period(app, platform)
     bound = optimum * 1.25
+    cycle = _cycle_matrix(app, platform)
+    term = _latency_term_matrix(app, platform)
+    n, p = N_STAGES, N_PROCESSORS
 
     t_scalar, scalar = _best_of(
-        lambda: homogeneous_min_latency_for_period(
-            app, platform, bound, backend="scalar"
-        )
+        lambda: reference.min_latency_tables_scalar(cycle, term, bound, n, p)
     )
     t_vector, vector = _best_of(
-        lambda: homogeneous_min_latency_for_period(app, platform, bound)
+        lambda: reference.min_latency_tables_numpy(cycle, term, bound, n, p)
     )
 
-    assert abs(scalar[1] - vector[1]) <= 1e-9 * max(1.0, scalar[1])
+    scalar_best = float(scalar[0][1:, n].min())
+    vector_best = float(vector[0][1:, n].min())
+    assert abs(scalar_best - vector_best) <= 1e-9 * max(1.0, scalar_best)
 
     speedup = t_scalar / t_vector if t_vector > 0 else float("inf")
     _LINES.append(
-        f"homogeneous_min_latency_for_period(n={N_STAGES}, p={N_PROCESSORS}, "
+        f"min_latency_tables(n={N_STAGES}, p={N_PROCESSORS}, "
         f"P={bound:.3g}): scalar {t_scalar * 1e3:.2f} ms vs vectorized "
         f"{t_vector * 1e3:.2f} ms -> {speedup:.1f}x"
     )

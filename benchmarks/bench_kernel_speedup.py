@@ -1,12 +1,13 @@
-"""Speedup gate of the compiled kernel backend over the numpy reference.
+"""Speedup gate of the compiled kernel engine over the numpy reference.
 
 The acceptance case of the compiled-kernel work: at the paper-scale DP size
 (n=64 stages, p=16 processors) the compiled homogeneous-DP table kernels
 must be **at least 5x** faster than the numpy reference path, while staying
 bit-identical (asserted here on every timed input, on top of the load-time
 validation the engine already passed).  The batch evaluation kernel and one
-end-to-end sweep are measured alongside: the sweep must show a measurable
-win (>= 10%) because the DP tables dominate its profile.
+end-to-end sweep are measured alongside: the sweep, run with the engine
+on (the default) and off (``REPRO_KERNELS_DISABLE``), must show a
+measurable win (>= 10%) because the DP tables dominate its profile.
 
 When no compiled engine is available (no C compiler, or
 ``REPRO_KERNELS_DISABLE``), the suite **skips with the recorded reason**
@@ -27,7 +28,9 @@ that into ``make bench-smoke``.
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,11 +48,27 @@ N_PROCESSORS = 16
 
 #: required speedup of the compiled DP table kernels over numpy
 MIN_DP_SPEEDUP = 5.0
-#: required end-to-end sweep improvement (compiled vs numpy backend)
+#: required end-to-end sweep improvement (engine on vs engine off)
 MIN_SWEEP_SPEEDUP = 1.10
 
 _ROOT = Path(__file__).resolve().parent.parent
 _JSON_PATH = _ROOT / "BENCH_kernels.json"
+
+
+@contextmanager
+def _engine_disabled():
+    """Run the block on the numpy kernels, as on a host without a compiler."""
+    previous = os.environ.get("REPRO_KERNELS_DISABLE")
+    os.environ["REPRO_KERNELS_DISABLE"] = "all"
+    compiled.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_KERNELS_DISABLE"]
+        else:
+            os.environ["REPRO_KERNELS_DISABLE"] = previous
+        compiled.reset()
 
 
 def _best_of(fn, *args, reps: int = 200, kwargs: dict | None = None):
@@ -132,7 +151,7 @@ def measure(smoke: bool = False) -> dict:
 
     # a batch safely above the compiled-dispatch floor (the dispatcher routes
     # smaller batches to numpy on purpose: below the floor numpy is faster)
-    floor = kernels.elementwise_compiled_min()
+    floor = kernels.ELEMENTWISE_COMPILED_MIN
     n_mappings = 2 * floor // (p // 2)
     comm, prefix, speeds, starts, ends, procs, offsets = _batch_inputs(
         n, p, n_mappings
@@ -155,11 +174,8 @@ def measure(smoke: bool = False) -> dict:
     # --- dispatch-floor calibration: where does compiled overtake numpy? --
     # Recorded, not gated: batch_terms is elementwise, so its compiled win
     # is modest and crosses over with batch size.  The grid below is what
-    # the ELEMENTWISE_COMPILED_MIN default was derived from (break-even near
-    # ~2k intervals on the reference host, solid wins from ~4k); re-running
-    # the bench re-measures it here, and an operator who sees a different
-    # crossover can pin $REPRO_ELEMENTWISE_COMPILED_MIN or call
-    # kernels.set_elementwise_compiled_min() accordingly.
+    # the ELEMENTWISE_COMPILED_MIN constant was derived from (break-even
+    # near ~2k intervals on the reference host, solid wins from ~4k).
     grid_targets = (
         [floor // 2, floor, 2 * floor]
         if smoke
@@ -189,8 +205,8 @@ def measure(smoke: bool = False) -> dict:
             crossover = int(starts.size)
 
     # end-to-end: sweep the homogeneous DP solvers — the consumers of the
-    # gated table kernels — numpy backend vs compiled backend; identical
-    # speeds make the platforms fully homogeneous, which those solvers need
+    # gated table kernels — engine off vs engine on; identical speeds make
+    # the platforms fully homogeneous, which those solvers need
     config = replace(
         experiment_config("E1", 32 if smoke else 64, 8,
                           n_instances=2 if smoke else 5),
@@ -202,14 +218,13 @@ def measure(smoke: bool = False) -> dict:
         seed=BENCH_SEED,
     )
     sweep_reps = 1 if smoke else 5
-    with kernels.use_backend("numpy"):
+    with _engine_disabled():
         t_sweep_np, numpy_sweep = _best_of(
             run_sweep, config, reps=sweep_reps, kwargs=sweep_args
         )
-    with kernels.use_backend("compiled"):
-        t_sweep_cc, compiled_sweep = _best_of(
-            run_sweep, config, reps=sweep_reps, kwargs=sweep_args
-        )
+    t_sweep_cc, compiled_sweep = _best_of(
+        run_sweep, config, reps=sweep_reps, kwargs=sweep_args
+    )
     # identical results before any speed claim
     assert sweep_results_equal(numpy_sweep, compiled_sweep)
 
@@ -288,7 +303,7 @@ def check(data: dict, *, smoke: bool = False) -> None:
             f"(need >= {MIN_DP_SPEEDUP:.0f}x)"
         )
     # the smoke sweep is too small for a stable end-to-end ratio; the full
-    # run must show the win that motivated the backend
+    # run must show the win that motivated the engine
     if not smoke:
         speedup = data["sweep"]["speedup"]
         assert speedup >= MIN_SWEEP_SPEEDUP, (
@@ -318,7 +333,7 @@ if __name__ == "__main__":
     import sys
 
     parser = argparse.ArgumentParser(
-        description="gate the compiled kernel backend: >= 5x on the DP "
+        description="gate the compiled kernel engine: >= 5x on the DP "
         "tables vs numpy, identical results, end-to-end sweep win"
     )
     parser.add_argument(

@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--period", type=float, default=None, help="period bound")
     solve.add_argument("--latency", type=float, default=None, help="latency bound")
     _add_budget_arguments(solve)
-    _add_backend_argument(solve)
     _add_cache_arguments(solve)
 
     batch = sub.add_parser(
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     failure.add_argument("--instances", type=_positive_int_arg, default=50)
     failure.add_argument("--seed", type=int, default=0)
     _add_parallel_arguments(failure)
-    _add_backend_argument(failure)
 
     ablation = sub.add_parser("ablation", help="run the design-choice ablations")
     _add_experiment_arguments(ablation)
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replay the journal of an interrupted run of the "
                            "same stream and verify only the rest")
     _add_parallel_arguments(fuzz)
-    _add_backend_argument(fuzz)
     _add_cache_arguments(fuzz)
 
     run = sub.add_parser(
@@ -254,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--resume; a shared --cache-dir deduplicates "
                           "solve work across shards")
     _add_parallel_arguments(run)
-    _add_backend_argument(run)
     _add_cache_arguments(run)
 
     cache = sub.add_parser(
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "that arrive while a batch runs form the next "
                             "one")
     _add_parallel_arguments(serve)
-    _add_backend_argument(serve)
 
     client = sub.add_parser(
         "client", help="talk to a running solver daemon (see 'serve')"
@@ -359,7 +354,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         help="number of random application/platform pairs")
     parser.add_argument("--seed", type=int, default=0)
     _add_parallel_arguments(parser)
-    _add_backend_argument(parser)
 
 
 def _workers_arg(value: str) -> int:
@@ -440,15 +434,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size", type=_positive_int_arg, default=None,
         help="work items per worker chunk (default: sized automatically)",
-    )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=kernels.BACKENDS, default=None,
-        help="kernel backend for the DP/cost hot paths (default: numpy, or "
-             "$REPRO_BACKEND); 'compiled' silently falls back to numpy when "
-             "no engine is available; results are identical across backends",
     )
 
 
@@ -645,14 +630,12 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
     for spec in specs:
         print(f"{spec.key:<6} {spec.name:<28} {spec.family:<10} "
               f"{spec.objective:<28} {', '.join(sorted(spec.capabilities))}")
-    info = kernels.backend_info()
     print()
-    if info["compiled_engine"] is not None:
-        print(f"kernel backends: {', '.join(kernels.BACKENDS)} "
-              f"(compiled engine: {info['compiled_engine']})")
+    engine = kernels.compiled_engine()
+    if engine is not None:
+        print(f"kernels: compiled engine {engine}")
     else:
-        print(f"kernel backends: {', '.join(kernels.BACKENDS)} "
-              f"(compiled unavailable: {info['compiled_unavailable_reason']})")
+        print(f"kernels: numpy fallback ({kernels.compiled_unavailable_reason()})")
     return 0
 
 
@@ -1144,7 +1127,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_maxsize=args.cache_size,
         cache_dir=args.cache_dir,
         max_batch=args.max_batch,
-        # the active backend is already applied by main()'s use_backend
     )
     print(f"solver daemon starting on {args.socket} "
           f"(workers={args.workers}, max-batch={args.max_batch}); "
@@ -1225,10 +1207,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "client": _cmd_client,
     }
-    # --backend applies to the whole command; worker pools mirror the active
-    # backend through the parallel_map initializer.
-    with kernels.use_backend(getattr(args, "backend", None)):
-        return handlers[args.command](args)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -282,37 +282,23 @@ def interval_time_components(
     input_bandwidth: float,
     output_bandwidth: float,
     n_stages: int,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (input, compute, output) times of stage intervals.
 
-    The communication-homogeneous kernel shared by :func:`evaluate_batch` and
-    the splitting engine (:mod:`repro.heuristics.engine`): interval ``i``
-    spans stages ``[starts[i], ends[i]]`` and runs on a processor of speed
+    The communication-homogeneous kernel of the splitting engine
+    (:mod:`repro.heuristics.engine`): interval ``i`` spans stages
+    ``[starts[i], ends[i]]`` and runs on a processor of speed
     ``speeds[i]``.  ``prefix`` is the work prefix-sum array (``prefix[k] =
     w_0 + .. + w_{k-1}``) and ``comm`` the ``delta`` vector of length
     ``n_stages + 1``.  The first interval reads through ``input_bandwidth``,
     the last writes through ``output_bandwidth``, every internal boundary
     crosses a ``bandwidth`` link.  All arguments broadcast, so scalars work
-    too.  The ``compiled`` backend serves 1-D interval arrays (the hot path
-    of the splitting engine); other shapes fall back to the numpy kernel.
+    too.  Always numpy: the splitting engine's batches (741 intervals at
+    most on the paper-scale sweep, n=40, p=100) sit far below the size
+    where a compiled loop would pay for its marshalling.
     """
     starts = np.asarray(starts)
     ends = np.asarray(ends)
-    if (
-        kernels.resolve_backend(backend) == "compiled"
-        and starts.ndim == 1
-        and ends.shape == starts.shape
-        and starts.size > 0
-    ):
-        speeds_arr = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(speeds, dtype=float), starts.shape)
-        )
-        return kernels.interval_components(
-            prefix, comm, starts, ends, speeds_arr, n_stages,
-            bandwidth, input_bandwidth, output_bandwidth,
-            backend="compiled",
-        )
     in_bw = np.where(starts == 0, input_bandwidth, bandwidth)
     out_bw = np.where(ends == n_stages - 1, output_bandwidth, bandwidth)
     input_time = comm[starts] / in_bw
@@ -352,7 +338,6 @@ def evaluate_batch(
     mappings: Sequence[IntervalMapping],
     *,
     validate: bool = True,
-    backend: str | None = None,
 ) -> BatchEvaluation:
     """Evaluate period and latency of many mappings in one vectorized pass.
 
@@ -363,13 +348,12 @@ def evaluate_batch(
     heterogeneous platforms.
 
     The elementwise per-interval terms dispatch through
-    :func:`repro.core.kernels.batch_terms` (``backend=None`` follows the
-    active backend), while the final ``reduceat`` reductions **always** run
-    in numpy: the compiled engines are validated to reproduce the terms bit
-    for bit, so periods and latencies are bit-identical across the ``numpy``
-    and ``compiled`` backends — the exact-arithmetic contract the local
-    search and the solve cache rely on.  ``backend="scalar"`` evaluates each
-    mapping with the scalar :func:`evaluate` path instead.
+    :func:`repro.core.kernels.batch_terms` (the compiled engine for large
+    batches, numpy otherwise), while the final ``reduceat`` reductions
+    **always** run in numpy: the compiled engine is validated to reproduce
+    the terms bit for bit, so periods and latencies are bit-identical
+    whichever kernel served the terms — the exact-arithmetic contract the
+    local search and the solve cache rely on.
 
     Parameters
     ----------
@@ -381,16 +365,7 @@ def evaluate_batch(
         Check every mapping against the instance first (as the scalar path
         does).  Callers that enumerate structurally valid mappings (e.g. the
         brute-force solvers) can disable it.
-    backend:
-        Kernel backend override; ``None`` uses the active backend.
     """
-    resolved = kernels.resolve_backend(backend)
-    if resolved == "scalar" and mappings:
-        evaluations = [evaluate(app, platform, m) for m in mappings]
-        return BatchEvaluation(
-            periods=np.array([ev.period for ev in evaluations], dtype=float),
-            latencies=np.array([ev.latency for ev in evaluations], dtype=float),
-        )
     if validate:
         for mapping in mappings:
             mapping.validate(app, platform)
@@ -417,12 +392,11 @@ def evaluate_batch(
         platform.input_bandwidth,
         platform.output_bandwidth,
         None if homogeneous else platform.bandwidth_matrix(),
-        backend=resolved,
     )
 
-    # The reductions stay in numpy for every backend: reduceat's accumulation
-    # order is not sequential, and reproducing it elsewhere would break the
-    # bit-identity contract between backends.
+    # The reductions stay in numpy whichever kernel served the terms:
+    # reduceat's accumulation order is not sequential, and reproducing it
+    # elsewhere would break the bit-identity contract between the kernels.
     periods = np.maximum.reduceat(cycle, firsts)
     latencies = np.add.reduceat(contribution, firsts) + output_time[lasts]
     return BatchEvaluation(

@@ -1,48 +1,32 @@
-"""Hot-path kernels behind a single ``backend`` knob.
+"""Hot-path kernels, each served by the best implementation this host has.
 
 ``repro.core.kernels`` owns the inner loops of the homogeneous DP solvers
-and the batch cost evaluator, each available in three interchangeable
-backends — ``numpy`` (the reference oracle), ``scalar`` (the original
-Python loops), and ``compiled`` (a ctypes-loaded C library,
-validated bit-for-bit against the reference at load time and falling back
-to numpy when no engine is available).
+and the batch cost evaluator.  Each kernel runs on the compiled C engine
+(:mod:`repro.core.kernels.compiled`) whenever that engine built and passed
+its load-time bit-for-bit validation against the numpy reference, and on
+the numpy reference kernels otherwise.  The choice is made from what the
+process can observe — never from a user-set option.
 
 The package-level API is re-exported from :mod:`.dispatch`; see that
-module for the backend-state model.
+module for the selection rule.
 """
 
 from .dispatch import (
-    BACKENDS,
     ELEMENTWISE_COMPILED_MIN,
     active_backend,
-    backend_info,
     batch_terms,
     compiled_engine,
     compiled_unavailable_reason,
-    elementwise_compiled_min,
-    interval_components,
     min_latency_tables,
     min_period_tables,
-    resolve_backend,
-    set_active_backend,
-    set_elementwise_compiled_min,
-    use_backend,
 )
 
 __all__ = [
-    "BACKENDS",
     "ELEMENTWISE_COMPILED_MIN",
-    "elementwise_compiled_min",
-    "set_elementwise_compiled_min",
     "active_backend",
-    "set_active_backend",
-    "use_backend",
-    "resolve_backend",
     "compiled_engine",
     "compiled_unavailable_reason",
-    "backend_info",
     "min_period_tables",
     "min_latency_tables",
     "batch_terms",
-    "interval_components",
 ]

@@ -1,6 +1,6 @@
 """The ``cc`` compiled engine: a tiny C library JIT-built with the system compiler.
 
-The engine behind the compiled backend: the four hot-path kernels are compiled
+The engine behind :mod:`repro.core.kernels`: the three hot-path kernels are compiled
 once from the embedded C source into a shared library cached under the user
 cache directory, keyed by the SHA-256 of the source — editing the source
 below automatically invalidates the cached binary.
@@ -13,7 +13,7 @@ the same bits —
   equals ``np.maximum`` + ``argmin`` (first index wins, no arithmetic
   reordering);
 * the DP recurrences are single adds/compares, associativity never enters;
-* :func:`batch_terms` / :func:`interval_components` are purely elementwise.
+* :func:`batch_terms` is purely elementwise.
 
 The build is intentionally conservative: ``-O3 -ffp-contract=off`` and no
 fast-math, so the compiler cannot fuse or reorder floating-point operations
@@ -169,26 +169,6 @@ void repro_batch_terms(const double *comm, const double *prefix,
         }
     }
 }
-
-/* Elementwise splitting-engine components (communication-homogeneous).
- * Mirrors interval_components_numpy: no zero-communication guard. */
-void repro_interval_components(const double *prefix, const double *comm,
-                               const int64_t *starts, const int64_t *ends,
-                               const double *speeds, int64_t count,
-                               int64_t n_stages, double bandwidth,
-                               double input_bandwidth, double output_bandwidth,
-                               double *input_time, double *compute_time,
-                               double *output_time)
-{
-    for (int64_t t = 0; t < count; ++t) {
-        const double in_bw = (starts[t] == 0) ? input_bandwidth : bandwidth;
-        const double out_bw =
-            (ends[t] == n_stages - 1) ? output_bandwidth : bandwidth;
-        input_time[t] = comm[starts[t]] / in_bw;
-        output_time[t] = comm[ends[t] + 1] / out_bw;
-        compute_time[t] = (prefix[ends[t] + 1] - prefix[starts[t]]) / speeds[t];
-    }
-}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
@@ -259,7 +239,7 @@ def _ptr_i64(arr: np.ndarray):
 
 
 def load() -> dict:
-    """Build (or reuse) the library and return the four kernel callables.
+    """Build (or reuse) the library and return the three kernel callables.
 
     Raises on any failure — no compiler, failed build, unloadable library —
     with a one-line reason for the engine selector to record.
@@ -283,11 +263,6 @@ def load() -> dict:
         _F64, _F64, _F64,
     ]
     lib.repro_batch_terms.restype = None
-    lib.repro_interval_components.argtypes = [
-        _F64, _F64, _I64, _I64, _F64, c_i64, c_i64, c_f64, c_f64, c_f64,
-        _F64, _F64, _F64,
-    ]
-    lib.repro_interval_components.restype = None
 
     def min_period_tables(cycle, n, p):
         cycle = _as_f64(cycle)
@@ -340,27 +315,8 @@ def load() -> dict:
         )
         return cycle, contribution, output_time
 
-    def interval_components(
-        prefix, comm, starts, ends, speeds, n_stages,
-        bandwidth, input_bandwidth, output_bandwidth,
-    ):
-        prefix, comm, speeds = _as_f64(prefix), _as_f64(comm), _as_f64(speeds)
-        starts, ends = _as_i64(starts), _as_i64(ends)
-        count = starts.size
-        input_time = np.empty(count, dtype=np.float64)
-        compute_time = np.empty(count, dtype=np.float64)
-        output_time = np.empty(count, dtype=np.float64)
-        lib.repro_interval_components(
-            _ptr_f64(prefix), _ptr_f64(comm), _ptr_i64(starts),
-            _ptr_i64(ends), _ptr_f64(speeds), count, n_stages,
-            float(bandwidth), float(input_bandwidth), float(output_bandwidth),
-            _ptr_f64(input_time), _ptr_f64(compute_time), _ptr_f64(output_time),
-        )
-        return input_time, compute_time, output_time
-
     return {
         "min_period_tables": min_period_tables,
         "min_latency_tables": min_latency_tables,
         "batch_terms": batch_terms,
-        "interval_components": interval_components,
     }

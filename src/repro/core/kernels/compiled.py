@@ -1,19 +1,18 @@
 """Compiled-engine selection: the ``cc`` C library, else none.
 
-The ``compiled`` backend name is a *request*, not a guarantee: this module
-decides per process whether the concrete engine can serve it.
+This module decides once per process whether the C engine serves the
+kernels (:mod:`repro.core.kernels.dispatch` asks it on every call).
 
 * The one engine is ``cc`` (the embedded C library built with the system
-  compiler), gated by ``REPRO_KERNELS_DISABLE`` — ``all``/``1`` or ``cc``
-  disables it.  CI's disabled leg sets ``REPRO_KERNELS_DISABLE=all`` to
-  prove the numpy fallback end to end.
-* The engine is **validated before adoption**: its four kernels run on a
+  compiler).  Any non-empty ``REPRO_KERNELS_DISABLE`` switches it off, as
+  if the host had no compiler; CI's disabled leg sets
+  ``REPRO_KERNELS_DISABLE=all`` to prove the numpy fallback end to end.
+* The engine is **validated before adoption**: its three kernels run on a
   small fixed instance and must reproduce the numpy reference
   (:mod:`repro.core.kernels.reference`) bit for bit.  A mismatching or
   crashing engine is rejected with a recorded reason, exactly like a
   missing one.
-* When the engine is rejected, the dispatch layer silently serves
-  ``compiled`` requests with the numpy kernels and
+* When the engine is rejected the numpy kernels serve every call and
   :func:`unavailable_reason` explains why — graceful fallback, never an
   error.
 
@@ -35,14 +34,9 @@ __all__ = ["engine_name", "engine_functions", "unavailable_reason", "reset"]
 _STATE: dict | None = None
 
 
-def _disabled() -> set[str]:
-    """Engines switched off via ``REPRO_KERNELS_DISABLE``."""
-    raw = os.environ.get("REPRO_KERNELS_DISABLE", "").strip().lower()
-    if not raw:
-        return set()
-    if raw in ("1", "all", "true", "compiled"):
-        return {"cc"}
-    return {token.strip() for token in raw.split(",") if token.strip()}
+def _disabled() -> bool:
+    """Whether ``REPRO_KERNELS_DISABLE`` is set (to any non-empty value)."""
+    return bool(os.environ.get("REPRO_KERNELS_DISABLE", "").strip())
 
 
 def _validate(funcs: dict) -> None:
@@ -92,19 +86,10 @@ def _validate(funcs: dict) -> None:
         if not all(np.array_equal(g, w) for g, w in zip(got, want)):
             raise RuntimeError("batch_terms disagrees with the numpy reference")
 
-    got = funcs["interval_components"](
-        prefix, comm, starts, ends, np.full(starts.size, 2.0), n, 7.5, 4.0, 6.0
-    )
-    want = reference.interval_components_numpy(
-        prefix, comm, starts, ends, np.full(starts.size, 2.0), n, 7.5, 4.0, 6.0
-    )
-    if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-        raise RuntimeError("interval_components disagrees with the numpy reference")
-
 
 def _select() -> dict:
     """Load and validate the C engine; record why it was rejected."""
-    if "cc" in _disabled():
+    if _disabled():
         reason = "cc: disabled via REPRO_KERNELS_DISABLE"
         return {"name": None, "functions": None, "reason": reason}
     from . import _cc
@@ -126,7 +111,7 @@ def _state() -> dict:
 
 
 def engine_name() -> str | None:
-    """The engine serving the ``compiled`` backend (``None`` = numpy fallback)."""
+    """The engine serving the kernels (``None`` = numpy fallback)."""
     return _state()["name"]
 
 

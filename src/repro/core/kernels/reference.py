@@ -1,19 +1,20 @@
 """Reference implementations of the hot-path kernels (numpy + scalar).
 
-These are the oracle semantics every other backend must reproduce:
+These are the oracle semantics the compiled engine must reproduce:
 
 * the **numpy** table kernels are the broadcast/reduce DP inner loops that
   used to live in :mod:`repro.exact.homogeneous_dp` (``vectorized=True``);
-* the **scalar** table kernels are the original Python loops
-  (``vectorized=False``), kept as the human-auditable baseline;
+* the **scalar** table kernels are the original Python loops, never run by
+  the solvers: they are the human-auditable oracle the tests and
+  ``benchmarks/bench_exact_runtime.py`` compare the tables against;
 * :func:`batch_terms_numpy` is the elementwise half of
   :func:`repro.core.costs.evaluate_batch` — per-interval (cycle,
   contribution, output) terms over the flat packed batch.  The final
-  ``reduceat`` reductions stay in :mod:`repro.core.costs` for *every*
-  backend, so a compiled backend that reproduces these terms bit for bit
-  yields bit-identical periods and latencies.
+  ``reduceat`` reductions stay in numpy in :mod:`repro.core.costs`, so a
+  compiled engine that reproduces these terms bit for bit yields
+  bit-identical periods and latencies.
 
-The compiled backend (:mod:`repro.core.kernels.compiled`) validates itself
+The compiled engine (:mod:`repro.core.kernels.compiled`) validates itself
 against these functions at load time and is rejected with a recorded reason
 on any mismatch.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "min_latency_tables_numpy",
     "min_latency_tables_scalar",
     "batch_terms_numpy",
-    "interval_components_numpy",
 ]
 
 _INF = float("inf")
@@ -199,28 +199,3 @@ def batch_terms_numpy(
     contribution = input_time + compute_time
     return cycle, contribution, output_time
 
-
-def interval_components_numpy(
-    prefix: np.ndarray,
-    comm: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    speeds: np.ndarray,
-    n_stages: int,
-    bandwidth: float,
-    input_bandwidth: float,
-    output_bandwidth: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise (input, compute, output) times of independent intervals.
-
-    The communication-homogeneous splitting-engine kernel: unlike
-    :func:`batch_terms_numpy` there is no zero-communication guard — the
-    historical :func:`repro.core.costs.interval_time_components` semantics
-    are preserved exactly.
-    """
-    in_bw = np.where(starts == 0, input_bandwidth, bandwidth)
-    out_bw = np.where(ends == n_stages - 1, output_bandwidth, bandwidth)
-    input_time = comm[starts] / in_bw
-    output_time = comm[ends + 1] / out_bw
-    compute_time = (prefix[ends + 1] - prefix[starts]) / speeds
-    return input_time, compute_time, output_time

@@ -216,7 +216,7 @@ def solve_result_from_dict(document: Mapping[str, Any]):
         ),
         wall_time=float(document.get("wall_time", 0.0)),
         cache_hit=bool(document.get("cache_hit", False)),
-        # absent in documents predating the kernel-backend knob
+        # absent in documents predating the kernel provenance stamp
         backend=document.get("backend"),
         details=dict(document.get("details", {})),
     )

@@ -16,13 +16,13 @@ solvers below provide:
 They are used as baselines and as ground truth in the tests: on a homogeneous
 platform the heuristics of Section 4 can never beat them.
 
-Both DPs dispatch their ``O(n^2)`` inner loops through
-:mod:`repro.core.kernels` behind a single ``backend`` knob: ``numpy`` (the
-broadcast/reduce reference, one ``(n, n)`` candidate matrix per processor
-level), ``scalar`` (the original Python loops, the historical
-``vectorized=False``), and ``compiled`` (the built-in C library, validated
-bit-for-bit against the numpy tables).  ``benchmarks/bench_kernel_speedup.py``
-records the backend speedups and the tests assert all paths agree.
+Both DPs run their ``O(n^2)`` inner loops through :mod:`repro.core.kernels`:
+the built-in C library whenever it built and validated bit for bit against
+the numpy tables, else the numpy broadcast/reduce reference (one ``(n, n)``
+candidate matrix per processor level).  The original scalar Python loops
+stay in :mod:`repro.core.kernels.reference` as the oracle the tests compare
+against.  ``benchmarks/bench_kernel_speedup.py`` records the compiled
+speedups and ``benchmarks/bench_exact_runtime.py`` the numpy ones.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ from ..core import kernels
 from ..core.application import PipelineApplication
 from ..core.costs import evaluate
 from ..core.exceptions import InfeasibleError, InvalidPlatformError
-from ..core.kernels.reference import (  # noqa: F401 - historical aliases
-    min_latency_tables_numpy as _min_latency_tables_vectorized,
-    min_latency_tables_scalar as _min_latency_tables_scalar,
-    min_period_tables_numpy as _min_period_tables_vectorized,
-    min_period_tables_scalar as _min_period_tables_scalar,
-)
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
 
@@ -105,7 +99,7 @@ def _cycle_matrix(app: PipelineApplication, platform: Platform) -> np.ndarray:
 
 
 def _cycle_matrix_scalar(app: PipelineApplication, platform: Platform) -> np.ndarray:
-    """Scalar reference of :func:`_cycle_matrix` (kept for the benchmark)."""
+    """Scalar reference of :func:`_cycle_matrix` (the oracle tests compare to)."""
     n = app.n_stages
     s = _check_homogeneous(platform)
     b = platform.uniform_bandwidth
@@ -168,20 +162,13 @@ def _rebuild_boundaries(parent: np.ndarray, n: int, best_k: int) -> list[int]:
 # DP entry points (tables live in repro.core.kernels)
 # --------------------------------------------------------------------------- #
 def homogeneous_min_period(
-    app: PipelineApplication,
-    platform: Platform,
-    *,
-    backend: str | None = None,
+    app: PipelineApplication, platform: Platform
 ) -> tuple[IntervalMapping, float]:
     """Optimal-period interval mapping on a fully homogeneous platform."""
-    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
-    if resolved == "scalar":
-        cycle = _cycle_matrix_scalar(app, platform)
-    else:
-        cycle = _cycle_matrix(app, platform)
-    dp, parent = kernels.min_period_tables(cycle, n, p, backend=resolved)
+    cycle = _cycle_matrix(app, platform)
+    dp, parent = kernels.min_period_tables(cycle, n, p)
 
     best_k = int(np.argmin(dp[1 : p + 1, n])) + 1
     best_value = float(dp[best_k, n])
@@ -195,21 +182,13 @@ def homogeneous_min_latency_for_period(
     app: PipelineApplication,
     platform: Platform,
     period_bound: float,
-    *,
-    backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal latency subject to ``period <= period_bound`` (homogeneous case)."""
-    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
-    if resolved == "scalar":
-        cycle = _cycle_matrix_scalar(app, platform)
-    else:
-        cycle = _cycle_matrix(app, platform)
+    cycle = _cycle_matrix(app, platform)
     term = _latency_term_matrix(app, platform)
-    dp, parent = kernels.min_latency_tables(
-        cycle, term, period_bound, n, p, backend=resolved
-    )
+    dp, parent = kernels.min_latency_tables(cycle, term, period_bound, n, p)
 
     finite_levels = [k for k in range(1, p + 1) if dp[k, n] < _INF]
     if not finite_levels:
@@ -229,8 +208,6 @@ def homogeneous_min_period_for_latency(
     app: PipelineApplication,
     platform: Platform,
     latency_bound: float,
-    *,
-    backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal period subject to ``latency <= latency_bound`` (homogeneous case).
 
@@ -238,11 +215,7 @@ def homogeneous_min_period_for_latency(
     exact binary search over the sorted candidate values is performed, using
     :func:`homogeneous_min_latency_for_period` as the feasibility oracle.
     """
-    resolved = kernels.resolve_backend(backend)
-    if resolved == "scalar":
-        cycle = _cycle_matrix_scalar(app, platform)
-    else:
-        cycle = _cycle_matrix(app, platform)
+    cycle = _cycle_matrix(app, platform)
     candidates = np.unique(cycle[np.isfinite(cycle)])
 
     best: tuple[IntervalMapping, float] | None = None
@@ -252,7 +225,7 @@ def homogeneous_min_period_for_latency(
         period_bound = float(candidates[mid])
         try:
             mapping, latency = homogeneous_min_latency_for_period(
-                app, platform, period_bound, backend=resolved
+                app, platform, period_bound
             )
             feasible = latency <= latency_bound + 1e-9
         except InfeasibleError:

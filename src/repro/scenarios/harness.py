@@ -31,7 +31,6 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from ..core import kernels
 from ..core.application import PipelineApplication
 from ..core.identity import instance_digest
 from ..core.platform import Platform
@@ -124,7 +123,6 @@ def run_fuzz(
     cache=None,
     journal: str | Path | None = None,
     resume: bool = False,
-    backend: str | None = None,
 ) -> FuzzReport:
     """Fuzz every applicable solver/simulator pair over a scenario stream.
 
@@ -158,45 +156,7 @@ def run_fuzz(
         replays an existing journal (written by an interrupted run of the
         *same* stream) and re-verifies only the remaining scenarios.  The
         report is byte-identical either way.
-    backend:
-        Kernel backend (:mod:`repro.core.kernels`) the whole differential
-        sweep runs under — e.g. ``compiled`` to fuzz the compiled kernels
-        against the scalar oracle; the report is byte-identical across
-        ``numpy`` and ``compiled``.
     """
-    with kernels.use_backend(backend):
-        return _run_fuzz_active(
-            count,
-            families,
-            seed,
-            workers=workers,
-            batch_size=batch_size,
-            n_datasets=n_datasets,
-            shrink=shrink,
-            shrink_budget=shrink_budget,
-            corpus_dir=corpus_dir,
-            cache=cache,
-            journal=journal,
-            resume=resume,
-        )
-
-
-def _run_fuzz_active(
-    count: int,
-    families: str | Iterable[str] | None,
-    seed: int,
-    *,
-    workers: int | None,
-    batch_size: int | None,
-    n_datasets: int,
-    shrink: bool,
-    shrink_budget: int,
-    corpus_dir: str | Path | None,
-    cache,
-    journal: str | Path | None,
-    resume: bool,
-) -> FuzzReport:
-    """The fuzz pipeline, run under the already-active kernel backend."""
     resolved = resolve_families(families)
     family_names = tuple(family.name for family in resolved)
     scenarios = generate_scenarios(

@@ -75,7 +75,6 @@ class DaemonConfig:
     cache_maxsize: int = 4096
     cache_dir: str | Path | None = None
     max_batch: int = 128
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not str(self.socket_path):
@@ -124,8 +123,6 @@ class SolverDaemon:
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Bind the socket, start the coalescer, warm the pool."""
-        if self.config.backend is not None:
-            kernels.set_active_backend(self.config.backend)
         self._loop = asyncio.get_running_loop()
         self._pool = WorkerPool(self.config.workers)
         self.coalescer.start()

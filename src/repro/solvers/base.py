@@ -298,12 +298,12 @@ class SolveResult:
         provenance, not solution data: excluded from :meth:`identity`, so a
         cold solve and its warm replay compare byte-identical.
     backend:
-        The kernel backend (:mod:`repro.core.kernels`) active when the
-        solver ran — ``numpy``, ``scalar`` or ``compiled`` (``None`` on
-        results predating the knob).  Run provenance like ``wall_time``:
-        the backends are validated to produce identical solutions, so the
-        stamp is excluded from :meth:`identity` and from cache keys — a
-        compiled solve may serve a numpy request and vice versa.
+        Which kernels served the run (:func:`repro.core.kernels.
+        active_backend`): ``compiled`` or ``numpy`` (``None`` on results
+        predating the stamp).  Run provenance like ``wall_time``: both
+        kernels are validated to produce identical solutions, so the stamp
+        is excluded from :meth:`identity` and from cache keys — a result
+        computed on one host serves a request on another.
     details:
         Solver-specific extras as JSON-safe scalars/lists (e.g. the replica
         groups of a replicated mapping).
@@ -370,7 +370,7 @@ class SolveResult:
 
     #: provenance fields that describe the actual run and therefore differ
     #: between byte-identical solves (serial vs pooled, machine to machine,
-    #: cold solve vs warm cache replay, one kernel backend vs another)
+    #: cold solve vs warm cache replay, compiled kernels vs numpy)
     NONDETERMINISTIC_FIELDS = ("wall_time", "cache_hit", "backend")
 
     def identity(self) -> dict[str, Any]:

@@ -41,7 +41,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..cache.keys import CacheKey, frontier_key, solve_key
-from ..core import kernels
 from ..core.identity import instance_digest
 from ..heuristics.engine import split_tables
 from ..utils.parallel import WorkerPool, parallel_map, resolve_worker_count
@@ -176,7 +175,6 @@ def solve_many(
     workers: int | None = None,
     batch_size: int | None = None,
     cache: "SolveCache | None" = None,
-    backend: str | None = None,
     pool: WorkerPool | None = None,
 ) -> BatchResult:
     """Solve every instance with every selected solver, doing minimal work.
@@ -209,13 +207,6 @@ def solve_many(
     cache:
         A :class:`~repro.cache.store.SolveCache`.  ``None`` disables
         memoisation (deduplication still applies).
-    backend:
-        Kernel backend (:mod:`repro.core.kernels`) active for the whole
-        batch, in the parent and every worker; ``None`` keeps the current
-        active backend.  Results are byte-identical across ``numpy`` and
-        ``compiled`` (the compiled engine is validated bit-for-bit), so
-        the backend is stamped on results as provenance but excluded from
-        cache keys.
     pool:
         A persistent :class:`~repro.utils.parallel.WorkerPool` to ship the
         cache misses through instead of the per-call pool — the solver
@@ -241,10 +232,9 @@ def solve_many(
     for pair in pairs:
         digest = instance_digest(*pair)
         tasks += [(pair, digest, handle, request) for handle, request in zip(handles, requests)]
-    with kernels.use_backend(backend):
-        flat, stats = _solve_tasks(
-            tasks, workers=workers, batch_size=batch_size, cache=cache, pool=pool
-        )
+    flat, stats = _solve_tasks(
+        tasks, workers=workers, batch_size=batch_size, cache=cache, pool=pool
+    )
     width = len(handles)
     return BatchResult(
         solvers=tuple(handle.name for handle in handles),
@@ -261,7 +251,6 @@ def solve_frontier_many(
     workers: int | None = None,
     batch_size: int | None = None,
     cache: "SolveCache | None" = None,
-    backend: str | None = None,
     pool: WorkerPool | None = None,
 ) -> tuple[list[SolveResult], BatchStats]:
     """Solve a mixed list of ``(instance, solver, request)`` triples.
@@ -286,10 +275,9 @@ def solve_frontier_many(
     for item, solver, request in tasks:
         pair = as_instance_pair(item)
         normalised.append((pair, instance_digest(*pair), as_solver(solver), request))
-    with kernels.use_backend(backend):
-        return _solve_tasks(
-            normalised, workers=workers, batch_size=batch_size, cache=cache, pool=pool
-        )
+    return _solve_tasks(
+        normalised, workers=workers, batch_size=batch_size, cache=cache, pool=pool
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -336,8 +324,7 @@ def _solve_tasks(
 ) -> tuple[list[SolveResult], BatchStats]:
     """Dedupe, probe, route, dispatch and back-fill normalised tasks.
 
-    Runs under the caller's active kernel backend; returns the results
-    aligned to ``tasks``.
+    Returns the results aligned to ``tasks``.
     """
     # -- dedupe: one slot per distinct (instance, solver, request) -------- #
     slot_of: dict[tuple, int] = {}

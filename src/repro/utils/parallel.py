@@ -12,9 +12,8 @@ that with a :class:`concurrent.futures.ProcessPoolExecutor` process pool:
   ``batch_size`` to amortise the pickling overhead (the instance streams are
   small, the per-item work is the expensive part);
 * **ship-once transport** — the mapped function travels to each worker
-  exactly once through the pool initializer (not once per chunk), the
-  parent's active kernel backend (:mod:`repro.core.kernels`) is mirrored
-  into every worker, and an optional ``payload`` (e.g. the
+  exactly once through the pool initializer (not once per chunk), and an
+  optional ``payload`` (e.g. the
   :class:`repro.utils.shm.InstanceShipment` of an instance arena) is
   installed per worker the same way — inherited through ``fork``, so its
   bytes are never pickled;
@@ -142,25 +141,17 @@ _WORKER_FN: Callable | None = None
 _WORKER_PAYLOAD: object | None = None
 
 
-def _install(
-    fn: Callable[[_T], _R], backend: str | None, payload: WorkerPayload | None
-) -> None:
-    """Install a worker's state: mapped function, kernel backend, payload.
+def _install(fn: Callable[[_T], _R], payload: WorkerPayload | None) -> None:
+    """Install a worker's state: mapped function and payload.
 
     :func:`parallel_map` runs this once per worker as the pool initializer,
     so the function is inherited through ``fork`` and never pickled;
     :class:`WorkerPool` runs it before every chunk, whose task carries its
-    own state.  The parent's backend is mirrored so pooled runs compute with
-    the same kernels as serial ones, and the payload is re-installed only
-    when it differs from the one already installed.
+    own state.  The payload is re-installed only when it differs from the
+    one already installed.
     """
     global _WORKER_FN, _WORKER_PAYLOAD
     _WORKER_FN = fn
-    if backend is not None:
-        from ..core import kernels
-
-        if kernels.active_backend() != backend:
-            kernels.set_active_backend(backend)
     if payload is not None and payload != _WORKER_PAYLOAD:
         payload.install()
         _WORKER_PAYLOAD = payload
@@ -169,7 +160,7 @@ def _install(
 def _apply_chunk(chunk: Sequence[_T], state: tuple | None = None) -> list[_R]:
     """Worker entry point: apply the installed function to one chunk.
 
-    ``state`` is the ``(fn, backend, payload)`` a :class:`WorkerPool` chunk
+    ``state`` is the ``(fn, payload)`` a :class:`WorkerPool` chunk
     carries; a :func:`parallel_map` worker got it from its initializer.
     """
     if state is not None:
@@ -228,13 +219,11 @@ def parallel_map(
     chunks = _plan(item_list, n_workers, batch_size)
     if chunks is None:
         return _serial(fn, item_list, payload)
-    from ..core import kernels
-
     with ProcessPoolExecutor(
         min(n_workers, len(chunks)),
         mp_context=_CONTEXT,
         initializer=_install,
-        initargs=(fn, kernels.active_backend(), payload),
+        initargs=(fn, payload),
     ) as executor:
         return [y for ys in executor.map(_apply_chunk, chunks) for y in ys]
 
@@ -252,7 +241,7 @@ class WorkerPool:
     exposes the same contract: results in input order, byte-identical to a
     serial loop at any worker count, chunked to amortise pickling.  Every
     worker is forked in the constructor.  Each chunk carries its own
-    ``(fn, backend, payload)``, since one pool serves many functions.
+    ``(fn, payload)``, since one pool serves many functions.
 
     A map whose worker died raises
     :class:`~concurrent.futures.process.BrokenProcessPool`.  The next
@@ -293,9 +282,7 @@ class WorkerPool:
         chunks = _plan(item_list, self.workers, batch_size)
         if chunks is None:
             return _serial(fn, item_list, payload)
-        from ..core import kernels
-
-        state = (fn, kernels.active_backend(), payload)
+        state = (fn, payload)
         try:
             results = self._executor.map(_apply_chunk, chunks, repeat(state))
         except BrokenProcessPool:  # a worker died since the last map

@@ -50,7 +50,6 @@ from functools import partial
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..core import kernels
 from ..core.exceptions import ConfigurationError, ReproError
 from ..core.serialization import solve_result_from_dict, solve_result_to_dict
 from ..solvers.base import SolveRequest, SolveResult
@@ -516,7 +515,6 @@ def execute_plan(
     cache: "SolveCache | None" = None,
     max_tasks: int | None = None,
     shard: tuple[int, int] | None = None,
-    backend: str | None = None,
     frontier: bool = True,
 ) -> WorkloadRun:
     """Execute a plan's incomplete tasks; checkpoint and replay via ``journal``.
@@ -549,11 +547,6 @@ def execute_plan(
         shards (counted as ``n_out_of_shard``).  The journal still pins
         the *full* plan digest, so independently-run shard journals merge
         via :func:`merge_journals` and replay into one complete run.
-    backend:
-        Kernel backend (:mod:`repro.core.kernels`) active for the whole
-        run, mirrored into every pool worker; ``None`` keeps the current
-        active backend.  Reports and sinks are byte-identical across
-        ``numpy`` and ``compiled``.
     frontier:
         Frontier routing (the default): each checkpoint chunk of solve
         tasks is one :func:`~repro.solvers.service.solve_frontier_many`
@@ -565,33 +558,6 @@ def execute_plan(
         :func:`~repro.solvers.service.solve_many` call per (solver,
         request) group.
     """
-    with kernels.use_backend(backend):
-        return _execute_plan_active(
-            plan,
-            journal=journal,
-            resume=resume,
-            workers=workers,
-            batch_size=batch_size,
-            cache=cache,
-            max_tasks=max_tasks,
-            shard=shard,
-            frontier=frontier,
-        )
-
-
-def _execute_plan_active(
-    plan: WorkloadPlan,
-    *,
-    journal: str | Path | None,
-    resume: bool,
-    workers: int | None,
-    batch_size: int | None,
-    cache: "SolveCache | None",
-    max_tasks: int | None,
-    shard: tuple[int, int] | None,
-    frontier: bool,
-) -> WorkloadRun:
-    """The execution loop, run under the already-active kernel backend."""
     in_shard: set[str] | None = None
     if shard is not None:
         index, count = shard

@@ -213,6 +213,25 @@ class TestSolversCommand:
         assert "hom-dp-period" in out
         assert "Sp mono P" not in out
 
+    def test_footer_names_the_compiled_engine(self, capsys):
+        from repro.core.kernels import compiled
+
+        if compiled.engine_functions() is None:
+            pytest.skip(f"no compiled engine: {compiled.unavailable_reason()}")
+        assert main(["solvers"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "kernels: compiled engine cc"
+
+    def test_footer_names_the_numpy_fallback_and_its_reason(self, capsys):
+        from tests.kernel_engine import engine_disabled
+
+        with engine_disabled():
+            assert main(["solvers"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (
+            "kernels: numpy fallback (cc: disabled via REPRO_KERNELS_DISABLE)"
+        )
+
 
 class TestParallelFlags:
     def test_defaults(self):

@@ -18,6 +18,7 @@ from repro.exact.homogeneous_dp import (
     homogeneous_min_period,
     homogeneous_min_period_for_latency,
 )
+from tests.kernel_engine import scalar_tables
 
 
 def random_homogeneous_instance(seed: int, n: int = 7, p: int = 3):
@@ -91,7 +92,7 @@ class TestMinPeriodForLatency:
 
 
 class TestVectorizedKernels:
-    """The NumPy DP kernels must match the scalar reference loops."""
+    """The default DP kernels must match the scalar reference loops."""
 
     def test_cycle_matrix_identical(self):
         from repro.exact.homogeneous_dp import _cycle_matrix, _cycle_matrix_scalar
@@ -115,7 +116,8 @@ class TestVectorizedKernels:
         for seed in range(6):
             app, platform = random_homogeneous_instance(seed, n=10, p=4)
             m_vec, v_vec = homogeneous_min_period(app, platform)
-            m_sca, v_sca = homogeneous_min_period(app, platform, backend="scalar")
+            with scalar_tables():
+                m_sca, v_sca = homogeneous_min_period(app, platform)
             assert v_vec == v_sca
             assert m_vec == m_sca
 
@@ -126,9 +128,10 @@ class TestVectorizedKernels:
             for factor in (1.0, 1.3, 2.0):
                 bound = optimum * factor
                 _, l_vec = homogeneous_min_latency_for_period(app, platform, bound)
-                _, l_sca = homogeneous_min_latency_for_period(
-                    app, platform, bound, backend="scalar"
-                )
+                with scalar_tables():
+                    _, l_sca = homogeneous_min_latency_for_period(
+                        app, platform, bound
+                    )
                 assert l_vec == pytest.approx(l_sca, rel=1e-12)
 
     def test_min_period_for_latency_paths_agree(self):
@@ -136,7 +139,6 @@ class TestVectorizedKernels:
             app, platform = random_homogeneous_instance(seed, n=8, p=3)
             bound = optimal_latency(app, platform) * 1.4
             _, p_vec = homogeneous_min_period_for_latency(app, platform, bound)
-            _, p_sca = homogeneous_min_period_for_latency(
-                app, platform, bound, backend="scalar"
-            )
+            with scalar_tables():
+                _, p_sca = homogeneous_min_period_for_latency(app, platform, bound)
             assert p_vec == pytest.approx(p_sca, rel=1e-12)

@@ -1,32 +1,37 @@
-"""Differential parity of the kernel backends over the scenario families.
+"""Differential parity of the kernels over the scenario families.
 
-The backend contract (:mod:`repro.core.kernels`) is two-tiered:
+The kernel contract (:mod:`repro.core.kernels`) is two-tiered:
 
-* ``compiled`` is **bit-identical** to ``numpy`` — the engines compute the
-  same elementwise terms and every reduction stays in numpy, so periods,
+* the compiled engine is **bit-identical** to numpy — it computes the same
+  elementwise terms and every reduction stays in numpy, so periods,
   latencies and DP tables match to the last bit;
-* ``scalar`` (the independently-auditable Python loops) agrees within
-  1e-9 relative — same mathematics, different summation order.
+* the scalar reference loops (:mod:`repro.core.kernels.reference`) agree
+  within 1e-9 relative — same mathematics, different summation order.
 
-These properties are asserted here over instances drawn from **all eight
-scenario families** (the differential-fuzzing generators, which cover the
-degenerate shapes the experiment families never produce), plus a replay of
-the archived counterexample corpus with the compiled backend active: every
+Kernel-level cases call the engine's functions
+(:func:`repro.core.kernels.compiled.engine_functions`) and the reference
+ones directly; solver-level cases run the solvers with the engine on (the
+default wherever it validated) against the engine off
+(:func:`tests.kernel_engine.engine_disabled`).  Instances come from **all
+eight scenario families** (the differential-fuzzing generators, which
+cover the degenerate shapes the experiment families never produce), plus
+a replay of the archived counterexample corpus with the engine on: every
 instance that once broke a solver must keep its full solver cross-check
 green when the compiled kernels serve the hot paths.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.costs import evaluate, evaluate_batch
-from repro.core.kernels import compiled, dispatch, reference
+from repro.core.application import PipelineApplication
+from repro.core.costs import _pack_mappings, evaluate, evaluate_batch
+from repro.core.kernels import compiled, reference
 from repro.core.mapping import IntervalMapping
 from repro.core.platform import Platform
 from repro.exact.homogeneous_dp import (
@@ -39,27 +44,13 @@ from repro.scenarios import (
     generate_scenarios,
     load_corpus,
 )
+from repro.solvers import get_solver
+from tests.kernel_engine import engine_disabled, scalar_tables
 from tests.test_corpus_replay import CORPUS_DIR
 
 _REL_TOL = 1e-9
 
 ENTRIES = load_corpus(CORPUS_DIR)
-
-
-@contextmanager
-def _compiled_floor(value: int):
-    """Temporarily lower the elementwise dispatch floor.
-
-    The dispatcher routes small batches to numpy on purpose (marshalling
-    overhead); parity tests must force the compiled elementwise kernels to
-    actually run on small hypothesis-sized batches.
-    """
-    previous = dispatch.ELEMENTWISE_COMPILED_MIN
-    dispatch.ELEMENTWISE_COMPILED_MIN = value
-    try:
-        yield
-    finally:
-        dispatch.ELEMENTWISE_COMPILED_MIN = previous
 
 
 # ----------------------------------------------------------------------------- #
@@ -90,22 +81,42 @@ def _random_mappings(app, platform, seed: int, count: int = 6):
 
 
 # ----------------------------------------------------------------------------- #
-# elementwise kernels: evaluate_batch across backends
+# elementwise kernels: batch_terms and evaluate_batch
 # ----------------------------------------------------------------------------- #
+def _batch_terms_args(app, platform, mappings) -> tuple:
+    """The packed ``batch_terms`` arguments :func:`evaluate_batch` builds."""
+    starts, ends, procs, offsets = _pack_mappings(mappings)
+    homogeneous = platform.is_communication_homogeneous
+    return (
+        app.comm_sizes, app.work_prefix, platform.speeds,
+        starts, ends, procs, offsets, app.n_stages, homogeneous,
+        platform.uniform_bandwidth if homogeneous else 0.0,
+        platform.input_bandwidth, platform.output_bandwidth,
+        None if homogeneous else platform.bandwidth_matrix(),
+    )
+
+
 class TestBatchParity:
     @given(case=scenario_instances(), mapping_seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
     def test_compiled_bit_identical_to_numpy(self, case, mapping_seed):
-        """Property: compiled evaluate_batch == numpy, bit for bit."""
+        """Property: the engine's batch_terms == numpy, bit for bit.
+
+        Called directly: the dispatcher only routes batches of
+        ``ELEMENTWISE_COMPILED_MIN`` intervals and up to the engine, far
+        more than a hypothesis-sized batch holds.
+        """
+        funcs = compiled.engine_functions()
+        if funcs is None:
+            return
         app, platform = case
-        mappings = _random_mappings(app, platform, mapping_seed)
-        with _compiled_floor(0):
-            with kernels.use_backend("numpy"):
-                ref = evaluate_batch(app, platform, mappings)
-            with kernels.use_backend("compiled"):
-                got = evaluate_batch(app, platform, mappings)
-        assert (ref.periods == got.periods).all()
-        assert (ref.latencies == got.latencies).all()
+        args = _batch_terms_args(
+            app, platform, _random_mappings(app, platform, mapping_seed)
+        )
+        want = reference.batch_terms_numpy(*args)
+        got = funcs["batch_terms"](*args)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     @given(case=scenario_instances(), mapping_seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
@@ -113,8 +124,7 @@ class TestBatchParity:
         """Property: the scalar loops agree with the batch within 1e-9."""
         app, platform = case
         mappings = _random_mappings(app, platform, mapping_seed)
-        with kernels.use_backend("compiled"), _compiled_floor(0):
-            batch = evaluate_batch(app, platform, mappings)
+        batch = evaluate_batch(app, platform, mappings)
         for i, mapping in enumerate(mappings):
             scalar = evaluate(app, platform, mapping)
             assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
@@ -139,34 +149,34 @@ class TestHomogeneousDpParity:
         """Property: same optimal period *and* same mapping, bitwise."""
         app, platform = case
         hom = _homogenized(platform)
-        ref_mapping, ref_period = homogeneous_min_period(app, hom, backend="numpy")
-        got_mapping, got_period = homogeneous_min_period(app, hom, backend="compiled")
+        with engine_disabled():
+            ref_mapping, ref_period = homogeneous_min_period(app, hom)
+        got_mapping, got_period = homogeneous_min_period(app, hom)
         assert got_period == ref_period
         assert got_mapping.intervals == ref_mapping.intervals
-        scalar_mapping, scalar_period = homogeneous_min_period(
-            app, hom, backend="scalar"
-        )
+        with scalar_tables():
+            _, scalar_period = homogeneous_min_period(app, hom)
         assert scalar_period == pytest.approx(ref_period, rel=_REL_TOL)
 
     @given(case=scenario_instances(), slack=st.floats(1.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_min_latency_identical_numpy_vs_compiled(self, case, slack):
-        """Property: the bounded-latency DP matches across backends."""
+        """Property: the bounded-latency DP matches with the engine on and off."""
         app, platform = case
         hom = _homogenized(platform)
-        _, period = homogeneous_min_period(app, hom, backend="numpy")
-        bound = period * slack
-        ref_mapping, ref_latency = homogeneous_min_latency_for_period(
-            app, hom, bound, backend="numpy"
-        )
+        with engine_disabled():
+            _, period = homogeneous_min_period(app, hom)
+            bound = period * slack
+            ref_mapping, ref_latency = homogeneous_min_latency_for_period(
+                app, hom, bound
+            )
         got_mapping, got_latency = homogeneous_min_latency_for_period(
-            app, hom, bound, backend="compiled"
+            app, hom, bound
         )
         assert got_latency == ref_latency
         assert got_mapping.intervals == ref_mapping.intervals
-        _, scalar_latency = homogeneous_min_latency_for_period(
-            app, hom, bound, backend="scalar"
-        )
+        with scalar_tables():
+            _, scalar_latency = homogeneous_min_latency_for_period(app, hom, bound)
         assert scalar_latency == pytest.approx(ref_latency, rel=_REL_TOL)
 
     @given(
@@ -206,7 +216,61 @@ class TestHomogeneousDpParity:
 
 
 # ----------------------------------------------------------------------------- #
-# corpus replay under the compiled backend
+# kernel selection: the engine serves by default, numpy when it is off
+# ----------------------------------------------------------------------------- #
+def _homogeneous_instance() -> tuple[PipelineApplication, Platform]:
+    app = PipelineApplication([3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [2.0] * 7)
+    return app, Platform.fully_homogeneous(3, speed=2.0, bandwidth=4.0)
+
+
+class TestKernelSelection:
+    def test_engine_serves_calls_without_arguments(self, monkeypatch):
+        """With the engine available, a plain solver call runs the C tables."""
+        funcs = compiled.engine_functions()
+        if funcs is None:
+            pytest.skip(f"no compiled engine: {compiled.unavailable_reason()}")
+        spy = mock.Mock(wraps=funcs["min_period_tables"])
+        monkeypatch.setitem(funcs, "min_period_tables", spy)
+        app, platform = _homogeneous_instance()
+        homogeneous_min_period(app, platform)
+        assert spy.call_count == 1
+        result = get_solver("hom-dp-period").run(app, platform)
+        assert spy.call_count == 2
+        assert result.backend == "compiled"
+        assert kernels.active_backend() == "compiled"
+
+    def test_disabled_engine_serves_numpy(self, monkeypatch):
+        """With the engine off, numpy serves and the stamp says so."""
+        spy = mock.Mock(wraps=reference.min_period_tables_numpy)
+        monkeypatch.setattr(reference, "min_period_tables_numpy", spy)
+        app, platform = _homogeneous_instance()
+        with engine_disabled():
+            assert compiled.engine_functions() is None
+            result = get_solver("hom-dp-period").run(app, platform)
+            assert kernels.active_backend() == "numpy"
+        assert spy.call_count == 1
+        assert result.backend == "numpy"
+
+    def test_batch_terms_reaches_the_engine_from_the_floor_up(self, monkeypatch):
+        """``batch_terms`` below ``ELEMENTWISE_COMPILED_MIN`` stays on numpy."""
+        funcs = compiled.engine_functions()
+        if funcs is None:
+            pytest.skip(f"no compiled engine: {compiled.unavailable_reason()}")
+        spy = mock.Mock(wraps=funcs["batch_terms"])
+        monkeypatch.setitem(funcs, "batch_terms", spy)
+        app, platform = _homogeneous_instance()
+        mapping = IntervalMapping.single_processor(app.n_stages, 0)
+        floor = kernels.ELEMENTWISE_COMPILED_MIN
+        small = evaluate_batch(app, platform, [mapping] * (floor - 1))
+        assert spy.call_count == 0
+        large = evaluate_batch(app, platform, [mapping] * floor)
+        assert spy.call_count == 1
+        assert (large.periods[: floor - 1] == small.periods).all()
+        assert (large.latencies[: floor - 1] == small.latencies).all()
+
+
+# ----------------------------------------------------------------------------- #
+# corpus replay with the engine on
 # ----------------------------------------------------------------------------- #
 @pytest.mark.skipif(not ENTRIES, reason="corpus is empty")
 class TestCorpusReplayCompiled:
@@ -214,7 +278,6 @@ class TestCorpusReplayCompiled:
         "entry", ENTRIES, ids=[entry.label for entry in ENTRIES]
     )
     def test_corpus_entry_green_with_compiled_kernels(self, entry):
-        """Every archived counterexample stays green with backend=compiled."""
-        with kernels.use_backend("compiled"):
-            report = differential_check(entry.application, entry.platform)
+        """Every archived counterexample stays green with the engine on."""
+        report = differential_check(entry.application, entry.platform)
         assert report.ok, report.failures

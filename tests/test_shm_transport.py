@@ -215,7 +215,7 @@ class TestShipOnce:
 
 
 # ----------------------------------------------------------------------------- #
-# end-to-end identity across pooling and backends
+# end-to-end identity across pooling and kernels
 # ----------------------------------------------------------------------------- #
 def _identity_bytes(batch) -> list[bytes]:
     return [
@@ -234,36 +234,24 @@ class TestTransportIdentity:
         )
         assert _identity_bytes(pooled) == _identity_bytes(serial)
 
-    def test_identity_holds_with_and_without_compiled_engines(self, monkeypatch):
+    def test_identity_holds_with_and_without_compiled_engines(self):
         """Serial == pooled == compiled-less, byte for byte."""
         from repro.core.kernels import compiled
+        from tests.kernel_engine import engine_disabled
 
         instances = _instances(4)
         reference = _identity_bytes(
             solve_many(instances, self.SOLVERS, period_bound=9.0)
         )
         with_engine = solve_many(
-            instances,
-            self.SOLVERS,
-            period_bound=9.0,
-            workers=2,
-            backend="compiled",
+            instances, self.SOLVERS, period_bound=9.0, workers=2
         )
         assert _identity_bytes(with_engine) == reference
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all")
-        compiled.reset()
-        try:
+        with engine_disabled():
             assert compiled.engine_functions() is None
             without_engine = solve_many(
-                instances,
-                self.SOLVERS,
-                period_bound=9.0,
-                workers=2,
-                backend="compiled",
-                )
-        finally:
-            monkeypatch.delenv("REPRO_KERNELS_DISABLE")
-            compiled.reset()
+                instances, self.SOLVERS, period_bound=9.0, workers=2
+            )
         assert _identity_bytes(without_engine) == reference
 
 

@@ -79,20 +79,20 @@ class TestIdentityContract:
         ]
 
     def test_backend_stamp_excluded_from_identity_and_cache_key(self):
-        """Backends are bit-identical, so the stamp must not split the cache:
-        a result solved under one backend serves a request made under
-        another, and ``identity()`` compares equal across the stamps."""
+        """The kernels are bit-identical, so the stamp must not split the
+        cache: a result solved on numpy serves a request made with the
+        compiled engine on, and ``identity()`` compares equal across the
+        stamps."""
         from repro.cache import SolveCache
-        from repro.core import kernels
+        from tests.kernel_engine import engine_disabled
 
         instances = _instances(3)
         cache = SolveCache()
-        with kernels.use_backend("numpy"):
+        with engine_disabled():
             cold = run_solver("H1", instances, 8.0, cache=cache)
-        with kernels.use_backend("compiled"):
-            warm = run_solver("H1", instances, 8.0, cache=cache)
+        warm = run_solver("H1", instances, 8.0, cache=cache)
         assert all(r.result.backend == "numpy" for r in cold)
-        # every request hit despite the different active backend
+        # every request hit despite the different kernels in use
         assert all(r.result.cache_hit for r in warm)
         assert [pickle.dumps(a.result.identity()) for a in cold] == [
             pickle.dumps(b.result.identity()) for b in warm
