@@ -137,7 +137,12 @@ bench-sweep:
 ## SIGTERM the daemon and require a clean (drained) exit 0; then run the
 ## batch once more through a second daemon with a 2-worker pool (instances
 ## ship to its workers through an instance arena) and assert its report is
-## byte-identical to the serial daemon's cold one, with a clean drain too
+## byte-identical to the serial daemon's cold one, with a clean drain too;
+## last, a disk-backed leg: run the batch through `serve --cache-dir`,
+## SIGTERM it, restart a daemon on the same directory and run the batch
+## again, `cmp` both reports against the cold one, and require the restarted
+## daemon to have served disk hits (the one kind of hit that still goes
+## through the coalescer, so its file I/O stays off the event loop)
 serve-smoke:
 	rm -rf .serve-smoke && mkdir -p .serve-smoke
 	set -e; \
@@ -171,6 +176,25 @@ serve-smoke:
 	cmp .serve-smoke/cold.txt .serve-smoke/pooled.txt; \
 	kill -TERM $$SRV; rc=0; wait $$SRV || rc=$$?; trap - EXIT; \
 	test $$rc -eq 0 || { echo "pooled daemon exited $$rc (want 0)"; cat .serve-smoke/pooled.log; exit 1; }
+	set -e; \
+	for leg in disk-cold disk-warm; do \
+		$(PYTHON) -m repro.cli serve --socket .serve-smoke/disk.sock \
+			--cache-dir .serve-smoke/cache 2> .serve-smoke/$$leg.log & SRV=$$!; \
+		trap 'kill $$SRV 2>/dev/null || true' EXIT; \
+		$(PYTHON) -m repro.cli client ping --socket .serve-smoke/disk.sock \
+			--wait 30 > /dev/null; \
+		$(PYTHON) -m repro.cli batch --family E1 --stages 8 --processors 6 \
+			--instances 10 --repeat 2 --period 12 --latency 60 \
+			--server .serve-smoke/disk.sock > .serve-smoke/$$leg.txt; \
+		cmp .serve-smoke/cold.txt .serve-smoke/$$leg.txt; \
+		$(PYTHON) -m repro.cli client stats --socket .serve-smoke/disk.sock \
+			> .serve-smoke/$$leg.stats.json; \
+		kill -TERM $$SRV; rc=0; wait $$SRV || rc=$$?; trap - EXIT; \
+		test $$rc -eq 0 || { echo "$$leg daemon exited $$rc (want 0)"; cat .serve-smoke/$$leg.log; exit 1; }; \
+	done; \
+	$(PYTHON) -c "import json; s=json.load(open('.serve-smoke/disk-warm.stats.json')); \
+		assert s['cache']['disk_hits'] > 0, s['cache']; \
+		print('restarted daemon disk hits:', s['cache']['disk_hits'])"
 	rm -rf .serve-smoke
 
 ## CI's daemon determinism slice: run the coalescer, daemon and worker-fault

@@ -20,7 +20,9 @@ Three classes, layered:
   lock, so a cache shared between threads — the solver daemon's event loop
   and its executor threads — neither drops counter increments nor corrupts
   the LRU order; :meth:`SolveCache.stats_snapshot` reads a consistent
-  counter block for the daemon's ``/stats`` payload.
+  counter block for the daemon's ``/stats`` payload, and
+  :meth:`SolveCache.get_memory` probes the memory tier alone, for a caller
+  that must never block on file I/O (the daemon's event loop).
 
 Results go in exactly once and come back out stamped ``cache_hit=True``;
 everything else about them — including the original ``wall_time`` — is the
@@ -38,7 +40,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Hashable
 
 from ..core.serialization import solve_result_from_dict, solve_result_to_dict
 from .keys import CacheKey
@@ -97,28 +99,33 @@ class CacheStats:
 
 
 class InMemoryLRUCache:
-    """Bounded least-recently-used map from key digests to results."""
+    """Bounded least-recently-used map, here from key digests to results.
+
+    Nothing in it is specific to results: the daemon's table of decoded
+    instances and the client's memo of encoded ones are built on it too.
+    Values must not be ``None`` (that is what :meth:`get` returns on a miss).
+    """
 
     def __init__(self, maxsize: int = _DEFAULT_MAXSIZE) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be at least 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self._entries: OrderedDict[str, "SolveResult"] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, digest: str) -> bool:
+    def __contains__(self, digest: Hashable) -> bool:
         return digest in self._entries
 
-    def get(self, digest: str) -> "SolveResult | None":
+    def get(self, digest: Hashable) -> Any:
         """Look up a digest; a hit refreshes its recency."""
         result = self._entries.get(digest)
         if result is not None:
             self._entries.move_to_end(digest)
         return result
 
-    def put(self, digest: str, result: "SolveResult") -> int:
+    def put(self, digest: Hashable, result: Any) -> int:
         """Insert (or refresh) an entry; returns how many were evicted."""
         self._entries[digest] = result
         self._entries.move_to_end(digest)
@@ -301,15 +308,9 @@ class SolveCache:
     # ------------------------------------------------------------------ #
     def get(self, key: CacheKey) -> "SolveResult | None":
         """The memoised result for ``key`` (stamped ``cache_hit=True``), or None."""
-        digest = key.digest
-        with self._lock:
-            result = self._memory.get(digest)
-            # isinstance guard: frontier documents (plain dicts) share the
-            # LRU under disjoint digests; a mixed-up key must miss, not crash
-            if result is not None and not isinstance(result, dict):
-                self.stats.memory_hits += 1
-                self.stats.hits += 1
-                return replace(result, cache_hit=True)
+        hit = self.get_memory(key)
+        if hit is not None:
+            return hit
         # the disk probe (file I/O, JSON decode) runs outside the lock so a
         # slow read never serialises the in-memory fast path of other threads
         if self._disk is None:
@@ -324,7 +325,25 @@ class SolveCache:
             self.stats.disk_hits += 1
             self.stats.hits += 1
             # promote: the next lookup is a dictionary hit
-            self.stats.evictions += self._memory.put(digest, result)
+            self.stats.evictions += self._memory.put(key.digest, result)
+        return replace(result, cache_hit=True)
+
+    def get_memory(self, key: CacheKey) -> "SolveResult | None":
+        """:meth:`get` restricted to the memory tier: no disk I/O, ever.
+
+        The daemon's event loop answers hits through here.  A hit is
+        counted; a miss is not, because the caller goes on to :meth:`get`
+        (or to nothing, when the request joins an in-flight solve), so each
+        lookup is counted exactly once.
+        """
+        with self._lock:
+            result = self._memory.get(key.digest)
+            # isinstance guard: frontier documents (plain dicts) share the
+            # LRU under disjoint digests; a mixed-up key must miss, not crash
+            if result is None or isinstance(result, dict):
+                return None
+            self.stats.memory_hits += 1
+            self.stats.hits += 1
         return replace(result, cache_hit=True)
 
     def put(self, key: CacheKey, result: "SolveResult") -> None:

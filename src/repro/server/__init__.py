@@ -8,12 +8,14 @@ This package keeps all of that warm:
 * :mod:`.daemon` — a long-lived asyncio server (unix socket, newline-
   delimited JSON) holding one :class:`~repro.cache.store.SolveCache` and
   one persistent :class:`~repro.utils.parallel.WorkerPool` across requests,
-  coalescing concurrent identical requests by canonical digest
-  (single-flight) and micro-batching concurrent distinct ones through
+  answering memory-cache hits on its event loop, coalescing concurrent
+  identical misses by canonical digest (single-flight) and micro-batching
+  concurrent distinct ones through
   :func:`repro.solvers.service.solve_frontier_many`;
 * :mod:`.coalescer` — the single-flight map and the batch-while-busy
   batcher (no timer: work that arrives while a batch runs forms the next);
-* :mod:`.protocol` — the wire format (one JSON document per line);
+* :mod:`.protocol` — the wire format (one JSON document per line) and the
+  daemon's table of decoded instances;
 * :mod:`.client` — the thin synchronous client library the CLI, the tests
   and the benchmarks use.
 

@@ -5,6 +5,12 @@ I/O (the daemon is the async side), one JSON document per line, request
 ids allocated per client.  It is what ``repro client``, the smoke test and
 the latency benchmark speak.
 
+Each client encodes the wire ``instance`` document of an (application,
+platform) pair once and reuses it for later tasks on the same objects (a
+bounded memo keyed by object identity), so a repeated instance costs no
+re-encoding; :meth:`ServiceClient.solve_batch` builds each task's wire
+document once and takes its dedupe key from it.
+
 Determinism contract: :meth:`ServiceClient.solve_batch` deduplicates
 identical tasks **client-side** before anything hits the wire — mirroring
 :func:`repro.solvers.service.solve_many`'s dedupe — and fans the daemon's
@@ -23,8 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from ..cache.store import InMemoryLRUCache
 from ..core.exceptions import ReproError
-from ..core.serialization import solve_result_from_dict
+from ..core.serialization import instance_to_dict, solve_result_from_dict
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -40,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-checking imports only
     from ..solvers.base import SolveResult
 
 __all__ = ["ServiceClient", "ServiceError", "BatchReply", "wait_for_server"]
+
+#: (application, platform) pairs whose wire instance document a client keeps
+INSTANCE_MEMO_SIZE = 256
 
 
 class ServiceError(ReproError):
@@ -67,13 +77,13 @@ class BatchReply:
         return self.n_tasks - self.n_unique
 
 
-def _dedupe_key(spec: SolveTaskSpec) -> str:
-    """Canonical identity of a task within one batch request.
+def _dedupe_key(document: Mapping[str, Any]) -> str:
+    """Canonical identity of a task's wire document within one batch request.
 
-    The sorted-key JSON of the wire document: two tasks serialising to the
-    same document are the same pure-function application.
+    The sorted-key JSON of the document: two tasks serialising to the same
+    document are the same pure-function application.
     """
-    return json.dumps(spec.to_dict(), separators=(",", ":"), sort_keys=True)
+    return json.dumps(document, separators=(",", ":"), sort_keys=True)
 
 
 class ServiceClient:
@@ -105,6 +115,9 @@ class ServiceClient:
             )
         self.server_pid: int | None = hello.get("pid")
         self._next_id = 0
+        # wire instance documents by object identity; each entry holds its
+        # objects too, so their ids cannot be recycled while it lives
+        self._instances = InMemoryLRUCache(INSTANCE_MEMO_SIZE)
 
     # ------------------------------------------------------------------ #
     # transport
@@ -141,6 +154,16 @@ class ServiceClient:
             return decode_line(line)
         except ProtocolError as exc:
             raise ServiceError(str(exc))
+
+    def _task_document(self, spec: SolveTaskSpec) -> dict[str, Any]:
+        """``spec``'s wire document, reusing its instance's if already encoded."""
+        app, platform = spec.application, spec.platform
+        ident = (id(app), id(platform))
+        entry = self._instances.get(ident)
+        if entry is None:
+            entry = (app, platform, instance_to_dict(app, platform))
+            self._instances.put(ident, entry)
+        return spec.to_dict(entry[2])
 
     def _request(self, document: dict[str, Any]) -> int:
         request_id = self._next_id
@@ -208,7 +231,9 @@ class ServiceClient:
             max_steps=max_steps,
             time_budget=time_budget,
         )
-        request_id = self._request({"op": "solve", "task": spec.to_dict()})
+        request_id = self._request(
+            {"op": "solve", "task": self._task_document(spec)}
+        )
         reply = self._read_for(request_id)
         if reply.get("kind") != "result":
             raise ServiceError(f"expected result, got {reply.get('kind')!r}")
@@ -225,20 +250,19 @@ class ServiceClient:
         if not tasks:
             return BatchReply(results=(), n_tasks=0, n_unique=0, dispositions={})
         slot_of: dict[str, int] = {}
-        unique: list[SolveTaskSpec] = []
+        unique: list[dict[str, Any]] = []
         assignment: list[int] = []
         for spec in tasks:
-            key = _dedupe_key(spec)
+            document = self._task_document(spec)
+            key = _dedupe_key(document)
             slot = slot_of.get(key)
             if slot is None:
                 slot = len(unique)
                 slot_of[key] = slot
-                unique.append(spec)
+                unique.append(document)
             assignment.append(slot)
 
-        request_id = self._request(
-            {"op": "batch", "tasks": [spec.to_dict() for spec in unique]}
-        )
+        request_id = self._request({"op": "batch", "tasks": unique})
         slots: list["SolveResult | None"] = [None] * len(unique)
         dispositions: dict[str, int] = {}
         errors: list[str] = []

@@ -17,9 +17,11 @@ Two ideas, one data structure:
   :func:`repro.solvers.service.solve_frontier_many` so the instance arena,
   the worker pool and the dedupe/cache probe amortise across clients.
 
-The coalescer is a pure asyncio object: it never touches sockets or
-solvers itself.  The daemon supplies ``execute`` — an async callable that
-receives each flushed batch and must resolve every task's future.
+The daemon answers memory-cache hits before they get here, so the
+coalescer only ever sees misses (and disk-backed hits).  It is a pure
+asyncio object: it never touches sockets or solvers itself.  The daemon
+supplies ``execute`` — an async callable that receives each flushed batch
+and must resolve every task's future.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import asyncio
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Awaitable, Callable
-
-from ..cache.keys import solve_key
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking imports only
     from ..core.application import PipelineApplication
@@ -121,15 +121,17 @@ class SolveCoalescer:
         app: "PipelineApplication",
         platform: "Platform",
         request: "SolveRequest",
+        digest: str,
     ) -> tuple["SolveResult", bool]:
         """Enqueue (or join) one solve; returns ``(result, coalesced)``.
 
+        ``digest`` is the task's :func:`~repro.cache.keys.solve_key` digest,
+        which the daemon has built already to probe its cache.
         ``coalesced`` is ``True`` when the call joined an already in-flight
         identical task instead of enqueuing work of its own.
         """
         if self._stopping:
             raise RuntimeError("coalescer is stopping; no new submissions")
-        digest = solve_key(app, platform, handle, request).digest
         existing = self._inflight.get(digest)
         if existing is not None:
             self.n_coalesced += 1

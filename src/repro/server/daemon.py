@@ -7,12 +7,17 @@ One :class:`SolverDaemon` owns exactly one of each expensive resource —
 * a persistent :class:`~repro.utils.parallel.WorkerPool` whose processes
   outlive individual solves,
 * a :class:`~repro.server.coalescer.SolveCoalescer` that single-flights
-  identical in-air requests and micro-batches distinct ones,
+  identical in-air misses and micro-batches distinct ones,
+* a :class:`~repro.server.protocol.InstanceTable` of decoded wire
+  instances, so a repeated instance is neither decoded nor hashed again,
 
 and serves newline-delimited JSON (see :mod:`.protocol`) over a unix
-socket.  Each flushed batch is one
-:func:`repro.solvers.service.solve_frontier_many` call on an executor
-thread, so the event loop keeps accepting and coalescing while solves run.
+socket.  A task whose result is in the cache's memory tier is answered on
+the event loop itself and never queues; only misses (and disk-backed hits,
+whose file I/O stays off the loop) reach the coalescer.  Each flushed batch
+is one :func:`repro.solvers.service.solve_frontier_many` call on an
+executor thread, so the event loop keeps accepting, answering hits and
+coalescing while solves run.
 
 Shutdown is a graceful drain: on SIGTERM (or :meth:`SolverDaemon.
 request_drain`) the listening socket closes, in-flight operations run to
@@ -39,6 +44,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
+from ..cache.keys import solve_key
 from ..cache.store import SolveCache
 from ..core import kernels
 from ..core.exceptions import ReproError
@@ -50,6 +56,7 @@ from .coalescer import PendingSolve, SolveCoalescer
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    InstanceTable,
     ProtocolError,
     SolveTaskSpec,
     decode_line,
@@ -92,6 +99,9 @@ class SolverDaemon:
         self.coalescer = SolveCoalescer(
             self._execute_batch, max_batch=config.max_batch
         )
+        # decoded wire instances (event-loop only): a repeated instance
+        # skips decoding and re-hashing
+        self.instances = InstanceTable()
         self._pool: WorkerPool | None = None
         # one solver thread: batches execute sequentially (the machine's
         # parallelism lives in the worker pool), and the event loop stays
@@ -289,7 +299,7 @@ class SolverDaemon:
         lock: asyncio.Lock,
         request_id: Any,
     ) -> None:
-        spec = SolveTaskSpec.from_dict(document.get("task"))
+        spec = SolveTaskSpec.from_dict(document.get("task"), self.instances)
         self.n_tasks += 1
         result, disposition = await self._submit(spec)
         await self._write(
@@ -314,7 +324,7 @@ class SolverDaemon:
         raw_tasks = document.get("tasks")
         if not isinstance(raw_tasks, list) or not raw_tasks:
             raise ProtocolError("batch op needs a non-empty 'tasks' list")
-        specs = [SolveTaskSpec.from_dict(raw) for raw in raw_tasks]
+        specs = [SolveTaskSpec.from_dict(raw, self.instances) for raw in raw_tasks]
         self.n_tasks += len(specs)
 
         dispositions: dict[str, int] = {"solved": 0, "cache": 0, "coalesced": 0}
@@ -371,7 +381,14 @@ class SolverDaemon:
     # execution
     # ------------------------------------------------------------------ #
     async def _submit(self, spec: SolveTaskSpec) -> tuple[SolveResult, str]:
-        """Run one task through the coalescer; returns (result, disposition)."""
+        """Answer one task; returns (result, disposition).
+
+        A result already in the cache's memory tier is answered right here
+        on the event loop, so a hit never waits behind a running batch.
+        Everything else — misses, disk-backed hits (file I/O stays off the
+        loop) and ``time_budget`` runs (never cached) — goes through the
+        coalescer.
+        """
         try:
             handle = get_solver(spec.solver)
         except KeyError as exc:  # registry lookup, not a wire problem per se
@@ -382,8 +399,14 @@ class SolverDaemon:
             max_steps=spec.max_steps,
             time_budget=spec.time_budget,
         )
+        key = solve_key(spec.application, spec.platform, handle, request)
+        if request.time_budget is None:
+            hit = self.cache.get_memory(key)
+            if hit is not None:
+                self.n_cache_hits += 1
+                return hit, "cache"
         result, coalesced = await self.coalescer.submit(
-            handle, spec.application, spec.platform, request
+            handle, spec.application, spec.platform, request, key.digest
         )
         if coalesced:
             return result, "coalesced"

@@ -28,7 +28,12 @@ Client → server operations:
 
 Server → client lines all carry ``id`` and a ``kind``: ``hello`` (sent once
 on connect, before any request), ``result``, ``done``, ``stats``, ``pong``
-and ``error``.  Results are the byte-stable
+and ``error``.  A ``result``'s ``disposition`` says how the daemon got it:
+``solved``, ``cache`` (a memory-tier hit is answered before any queue) or
+``coalesced``.  The daemon decodes each distinct ``instance`` document once
+(:class:`InstanceTable`); the wire format is the same either way.
+
+Results are the byte-stable
 :func:`~repro.core.serialization.solve_result_to_dict` documents, so a
 daemon response decodes into the *identical* solution a direct
 :func:`~repro.solvers.service.solve_many` call returns (run provenance —
@@ -41,6 +46,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
+from ..cache.store import InMemoryLRUCache
 from ..core.exceptions import ReproError
 from ..core.serialization import (
     instance_from_dict,
@@ -55,6 +61,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
     "ProtocolError",
+    "InstanceTable",
     "SolveTaskSpec",
     "encode_line",
     "decode_line",
@@ -70,6 +77,9 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: dispositions a result line may carry: how the daemon obtained the result
 DISPOSITIONS = ("solved", "cache", "coalesced")
+
+#: distinct wire instance documents an :class:`InstanceTable` keeps decoded
+INSTANCE_TABLE_SIZE = 256
 
 
 class ProtocolError(ReproError, ValueError):
@@ -100,6 +110,47 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     return document
 
 
+def _decode_instance(
+    document: Mapping[str, Any],
+) -> tuple["PipelineApplication", "Platform"]:
+    """The (application, platform) of a wire instance (:class:`ProtocolError`)."""
+    try:
+        app, platform, _ = instance_from_dict(document)
+    except (ReproError, ValueError, TypeError) as exc:
+        raise ProtocolError(f"task instance does not deserialise: {exc}")
+    return app, platform
+
+
+class InstanceTable:
+    """Bounded LRU of decoded wire instances, keyed by their canonical text.
+
+    The key is the sorted-key compact JSON of the whole ``instance``
+    document, display names included, and only the holder of the table
+    fills it from documents it decoded itself, so nothing a peer sends is
+    trusted beyond its bytes.  A repeated instance comes back as the very
+    objects decoded the first time, with their canonical payloads (and so
+    their digests) already cached on them.  A document that does not decode
+    raises :class:`ProtocolError` and is never stored.
+    """
+
+    def __init__(self, maxsize: int = INSTANCE_TABLE_SIZE) -> None:
+        self._entries = InMemoryLRUCache(maxsize)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def decode(
+        self, document: Mapping[str, Any]
+    ) -> tuple["PipelineApplication", "Platform"]:
+        """The (application, platform) of ``document``, decoded at most once."""
+        text = json.dumps(document, separators=(",", ":"), sort_keys=True)
+        pair = self._entries.get(text)
+        if pair is None:
+            pair = _decode_instance(document)
+            self._entries.put(text, pair)
+        return pair
+
+
 @dataclass(frozen=True)
 class SolveTaskSpec:
     """One solve task as it travels over the wire.
@@ -120,10 +171,16 @@ class SolveTaskSpec:
     max_steps: int | None = None
     time_budget: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """The wire document of this task."""
+    def to_dict(self, instance: Mapping[str, Any] | None = None) -> dict[str, Any]:
+        """The wire document of this task.
+
+        ``instance`` is this task's already encoded instance document, for
+        callers that memoise it; by default it is encoded afresh.
+        """
+        if instance is None:
+            instance = instance_to_dict(self.application, self.platform)
         return {
-            "instance": instance_to_dict(self.application, self.platform),
+            "instance": instance,
             "solver": self.solver,
             "period_bound": self.period_bound,
             "latency_bound": self.latency_bound,
@@ -132,8 +189,16 @@ class SolveTaskSpec:
         }
 
     @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "SolveTaskSpec":
-        """Rebuild a task from its wire document (:class:`ProtocolError`)."""
+    def from_dict(
+        cls,
+        document: Mapping[str, Any],
+        instances: InstanceTable | None = None,
+    ) -> "SolveTaskSpec":
+        """Rebuild a task from its wire document (:class:`ProtocolError`).
+
+        With an :class:`InstanceTable` a repeated instance is not decoded
+        again; the table hands back the objects it decoded the first time.
+        """
         if not isinstance(document, Mapping):
             raise ProtocolError(
                 f"task must be a JSON object, got {type(document).__name__}"
@@ -144,10 +209,10 @@ class SolveTaskSpec:
         solver = document.get("solver")
         if not isinstance(solver, str) or not solver.strip():
             raise ProtocolError("task document needs a non-empty 'solver' name")
-        try:
-            app, platform, _ = instance_from_dict(instance)
-        except (ReproError, ValueError, TypeError) as exc:
-            raise ProtocolError(f"task instance does not deserialise: {exc}")
+        if instances is None:
+            app, platform = _decode_instance(instance)
+        else:
+            app, platform = instances.decode(instance)
 
         def _number(key: str) -> float | None:
             value = document.get(key)

@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+from repro.cache.keys import solve_key
 from repro.server.coalescer import PendingSolve, SolveCoalescer
 from repro.solvers.registry import get_solver
 
@@ -49,8 +50,9 @@ def submitter(small_app, small_platform):
 
     def _submit(coalescer: SolveCoalescer, bound: float):
         request = handle.default_request(period_bound=bound)
+        digest = solve_key(small_app, small_platform, handle, request).digest
         return asyncio.ensure_future(
-            coalescer.submit(handle, small_app, small_platform, request)
+            coalescer.submit(handle, small_app, small_platform, request, digest)
         )
 
     return _submit

@@ -18,6 +18,7 @@ import contextlib
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,7 +26,9 @@ import time
 
 import pytest
 
+from repro.cache.keys import solve_key
 from repro.generators.experiments import experiment_config, generate_instances
+from repro.server import client as client_module
 from repro.server import (
     DaemonConfig,
     DaemonThread,
@@ -35,6 +38,8 @@ from repro.server import (
     wait_for_server,
 )
 from repro.server.client import wait_for_server as wait_alias
+from repro.server import protocol
+from repro.server.protocol import decode_line, encode_line
 from repro.solvers import registry
 from repro.solvers.base import Objective, SolverFamily
 from repro.solvers.registry import SolverSpec, get_solver, register_solver
@@ -456,6 +461,134 @@ class TestDrain:
             ServiceClient(sock)
 
 
+class TestHitsNeverQueue:
+    def test_memory_hit_is_answered_while_a_miss_is_parked(
+        self, tmp_path, gate, instances, reference
+    ):
+        """A memory-tier hit never waits for the solver thread; a miss does."""
+        sock = _socket(tmp_path)
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
+        box = {}
+
+        def _miss() -> None:
+            with ServiceClient(sock) as client:
+                box["miss"] = client.solve_batch([_spec(instances[1])])
+
+        miss = threading.Thread(target=_miss)
+        try:
+            with ServiceClient(sock) as client:
+                warm = client.solve_batch([_spec(instances[0])])
+            coalescer = host.daemon.coalescer
+            with gate.holding(sock, instances[-1]):
+                miss.start()
+                _await(
+                    lambda: coalescer.n_enqueued == 3,
+                    "the miss to queue behind the gate",
+                )
+                # the solver thread is parked: only the event loop can answer
+                with ServiceClient(sock, timeout=10.0) as client:
+                    hit = client.solve_batch([_spec(instances[0])])
+                assert "miss" not in box, "the miss ran past the gate"
+            miss.join(timeout=30.0)
+            assert not miss.is_alive()
+            with ServiceClient(sock) as client:
+                stats = client.stats()
+        finally:
+            host.stop()
+        assert warm.dispositions == {"solved": 1}
+        assert hit.dispositions == {"cache": 1}
+        assert hit.results[0].identity() == reference[0]
+        assert box["miss"].dispositions == {"solved": 1}
+        assert box["miss"].results[0].identity() == reference[1]
+        # the hit is counted as one, and never reached the coalescer
+        assert stats["requests"]["n_cache_hits"] == 1
+        assert stats["coalescer"]["n_enqueued"] == 3  # warm-up, gate, miss
+        # four lookups (warm-up, gate and miss missed, the hit hit), each
+        # counted once: the loop's memory probe counts hits only
+        cache = stats["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 3)
+        assert cache["memory_hits"] == 1
+
+    def test_time_budget_request_is_never_answered_from_the_cache(
+        self, tmp_path, instances
+    ):
+        inst = instances[0]
+        handle = get_solver("local-search-h1")
+        bounds = {"period_bound": PERIOD_BOUND, "time_budget": 30.0}
+        spec = SolveTaskSpec(inst.application, inst.platform, handle.name, **bounds)
+        sock = _socket(tmp_path)
+        with DaemonThread(DaemonConfig(socket_path=sock)) as host:
+            with ServiceClient(sock) as client:
+                first = client.solve_batch([spec])
+                # plant an answer under the request's own key: still not served
+                key = solve_key(
+                    inst.application,
+                    inst.platform,
+                    handle,
+                    handle.default_request(**bounds),
+                )
+                host.daemon.cache.put(key, first.results[0])
+                second = client.solve_batch([spec])
+                stats = client.stats()
+        assert first.dispositions == second.dispositions == {"solved": 1}
+        assert stats["requests"]["n_cache_hits"] == 0
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
+
+    def test_daemon_decodes_each_repeated_instance_once(
+        self, tmp_path, monkeypatch, instances
+    ):
+        decoded = []
+        decode = protocol._decode_instance
+
+        def counting(document):
+            decoded.append(document)
+            return decode(document)
+
+        monkeypatch.setattr(protocol, "_decode_instance", counting)
+        sock = _socket(tmp_path)
+        specs = [_spec(i) for i in instances]
+        with DaemonThread(DaemonConfig(socket_path=sock)) as host:
+            with ServiceClient(sock) as client:
+                cold = client.solve_batch(specs)
+                assert len(decoded) == len(instances)
+                # fresh connection, same documents: nothing is decoded again
+                with ServiceClient(sock) as other:
+                    warm = other.solve_batch(specs)
+            assert len(host.daemon.instances) == len(instances)
+        assert len(decoded) == len(instances)
+        assert warm.dispositions == {"cache": len(instances)}
+        assert [r.identity() for r in warm.results] == [
+            r.identity() for r in cold.results
+        ]
+
+    def test_client_encodes_each_instance_once(self, tmp_path, monkeypatch, instances):
+        calls = []
+        encode = client_module.instance_to_dict
+
+        def counting(app, platform):
+            calls.append(app)
+            return encode(app, platform)
+
+        monkeypatch.setattr(client_module, "instance_to_dict", counting)
+        sock = _socket(tmp_path)
+        first, second = instances[:2]
+        with DaemonThread(DaemonConfig(socket_path=sock)):
+            with ServiceClient(sock) as client:
+                single = client.solve(
+                    first.application,
+                    first.platform,
+                    SOLVER,
+                    period_bound=PERIOD_BOUND,
+                )
+                reply = client.solve_batch(
+                    [_spec(first), _spec(second), _spec(first), _spec(second)]
+                )
+        # one encoding per (application, platform) pair, shared by both ops
+        assert calls == [first.application, second.application]
+        assert reply.n_unique == 2
+        assert reply.results[0].identity() == single.identity()
+
+
 class TestFrontierCoalescing:
     def test_distinct_thresholds_coalesce_onto_one_frontier_solve(
         self, tmp_path, gate, instances
@@ -563,6 +696,60 @@ class TestFailureIsolation:
             str(GATE_TASKS): 1,
             str(n_valid + 1): 1,
         }
+
+
+    def test_client_disconnect_mid_batch_spares_its_batch_mates(
+        self, tmp_path, gate, instances, reference
+    ):
+        """A client hangs up while its ``batch`` op is still streaming; the
+        other client of the same coalescer batch still gets every answer and
+        the daemon keeps serving."""
+        sock = _socket(tmp_path)
+        host = DaemonThread(DaemonConfig(socket_path=sock)).start()
+        box = {}
+
+        def _stayer() -> None:
+            with ServiceClient(sock, timeout=30.0) as client:
+                box["reply"] = client.solve_batch([_spec(i) for i in instances[1:5]])
+
+        stayer = threading.Thread(target=_stayer)
+        try:
+            with ServiceClient(sock) as client:
+                client.solve_batch([_spec(instances[0])])  # instance 0 is now a hit
+            coalescer = host.daemon.coalescer
+            with gate.holding(sock, instances[-1]):
+                leaver = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                leaver.settimeout(30.0)
+                leaver.connect(sock)
+                stream = leaver.makefile("rb")
+                assert decode_line(stream.readline())["kind"] == "hello"
+                tasks = [_spec(i).to_dict() for i in instances[:3]]
+                leaver.sendall(encode_line({"op": "batch", "id": 0, "tasks": tasks}))
+                # the hit streams back at once; tasks 1 and 2 stay pending
+                first = decode_line(stream.readline())
+                assert (first["kind"], first["index"]) == ("result", 0)
+                stayer.start()
+                # the stayer's 1 and 2 join the leaver's; its 3 and 4 queue
+                _await(
+                    lambda: (coalescer.n_enqueued, coalescer.n_coalesced) == (6, 2),
+                    "both batch ops to reach the coalescer",
+                )
+                stream.close()
+                leaver.close()  # hang up mid-stream
+            stayer.join(timeout=30.0)
+            assert not stayer.is_alive()
+            # the daemon still accepts and answers new connections
+            with ServiceClient(sock, timeout=30.0) as client:
+                assert client.ping() < 1.0
+                late = client.solve_batch([_spec(instances[5])])
+                stats = client.stats()
+        finally:
+            host.stop()
+        reply = box["reply"]
+        assert [r.identity() for r in reply.results] == reference[1:5]
+        assert late.results[0].identity() == reference[5]
+        # the leaver's two misses and the stayer's two rode one batch
+        assert stats["coalescer"]["batch_sizes"]["4"] == 1
 
 
 class TestStatsEndpoint:

@@ -6,15 +6,18 @@ import json
 
 import pytest
 
+from repro.core.identity import instance_digest
 from repro.core.serialization import instance_from_dict
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    InstanceTable,
     ProtocolError,
     SolveTaskSpec,
     decode_line,
     encode_line,
 )
+from repro.solvers.registry import get_solver
 from tests.conftest import random_instance
 
 
@@ -106,3 +109,73 @@ class TestSolveTaskSpec:
         document["instance"] = {"application": {"bogus": True}}
         with pytest.raises(ProtocolError, match="deserialise"):
             SolveTaskSpec.from_dict(document)
+
+
+def _wire(spec: SolveTaskSpec) -> dict:
+    """``spec``'s document as the daemon receives it: through the wire."""
+    return decode_line(encode_line(spec.to_dict()))
+
+
+class TestInstanceTable:
+    def test_same_document_decodes_to_the_same_objects(self, pair):
+        app, platform = pair
+        table = InstanceTable()
+        first = SolveTaskSpec.from_dict(
+            _wire(SolveTaskSpec(app, platform, "H1")), table
+        )
+        again = SolveTaskSpec.from_dict(
+            _wire(SolveTaskSpec(app, platform, "H2", period_bound=9.0)), table
+        )
+        assert again.application is first.application
+        assert again.platform is first.platform
+        assert len(table) == 1
+
+    def test_display_name_gets_its_own_entry_with_the_same_result(self, pair):
+        app, platform = pair
+        table = InstanceTable()
+        plain = _wire(SolveTaskSpec(app, platform, "H1", period_bound=12.0))
+        renamed = _wire(SolveTaskSpec(app, platform, "H1", period_bound=12.0))
+        renamed["instance"]["application"]["name"] = "renamed"
+        a = SolveTaskSpec.from_dict(plain, table)
+        b = SolveTaskSpec.from_dict(renamed, table)
+        assert len(table) == 2
+        assert b.application is not a.application
+        assert b.application.name == "renamed" != a.application.name
+        # names are display metadata: same digest, same answer
+        assert instance_digest(a.application, a.platform) == instance_digest(
+            b.application, b.platform
+        )
+        handle = get_solver("H1")
+        request = handle.default_request(period_bound=12.0)
+        assert (
+            handle.solve(a.application, a.platform, request).identity()
+            == handle.solve(b.application, b.platform, request).identity()
+        )
+
+    def test_malformed_instance_is_rejected_every_time_and_never_stored(self, pair):
+        app, platform = pair
+        table = InstanceTable()
+        SolveTaskSpec.from_dict(_wire(SolveTaskSpec(app, platform, "H1")), table)
+        document = _wire(SolveTaskSpec(app, platform, "H1"))
+        document["instance"]["application"]["works"] = "not a vector"
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="deserialise"):
+                SolveTaskSpec.from_dict(document, table)
+        assert len(table) == 1
+
+    def test_table_never_grows_past_its_bound(self):
+        table = InstanceTable(maxsize=3)
+        documents = [
+            _wire(SolveTaskSpec(*random_instance(4, 3, seed=seed, family="E1"), "H1"))[
+                "instance"
+            ]
+            for seed in range(5)
+        ]
+        decoded = []
+        for document in documents:
+            decoded.append(table.decode(document))
+            assert len(table) <= 3
+        assert len(table) == 3
+        # least recently used first out: the newest stays, the oldest is gone
+        assert table.decode(documents[-1])[0] is decoded[-1][0]
+        assert table.decode(documents[0])[0] is not decoded[0][0]
