@@ -54,9 +54,10 @@ cache-smoke:
 ## fast differential-verification slice; CI's PR gate runs exactly this
 ## target (the nightly job runs the same command with --count 2000) and
 ## uploads anything written to fuzz-counterexamples/ as an artifact.  The
-## stream runs twice: on the default kernels (the compiled engine wherever
-## it validated) and under REPRO_KERNELS_DISABLE=all (numpy, as on a host
-## without a compiler); the two stdout reports must be byte-identical
+## stream runs three times: on the default kernels (the compiled engine
+## wherever it validated), under REPRO_KERNELS_DISABLE=all (numpy, as on a
+## host without a compiler) and on a 2-worker pool (instance tables built
+## inside the workers); the three stdout reports must be byte-identical
 fuzz-smoke:
 	rm -rf .fuzz-smoke && mkdir -p .fuzz-smoke
 	$(PYTHON) -m repro.cli fuzz --count 100 --seed 0 --corpus fuzz-counterexamples \
@@ -66,6 +67,10 @@ fuzz-smoke:
 		--corpus fuzz-counterexamples \
 		> .fuzz-smoke/numpy.txt || { cat .fuzz-smoke/numpy.txt; exit 1; }
 	cmp .fuzz-smoke/default.txt .fuzz-smoke/numpy.txt
+	$(PYTHON) -m repro.cli fuzz --count 100 --seed 0 --workers 2 \
+		--corpus fuzz-counterexamples \
+		> .fuzz-smoke/pooled.txt || { cat .fuzz-smoke/pooled.txt; exit 1; }
+	cmp .fuzz-smoke/default.txt .fuzz-smoke/pooled.txt
 	rm -rf .fuzz-smoke
 
 ## heterogeneous-only fuzz slice: glob family selection, exercises the

@@ -42,6 +42,7 @@ __all__ = [
     "latency",
     "evaluate",
     "evaluate_batch",
+    "evaluate_packed",
     "period_batch",
     "latency_batch",
     "optimal_latency",
@@ -363,8 +364,8 @@ def evaluate_batch(
         The batch; an empty batch yields empty arrays.
     validate:
         Check every mapping against the instance first (as the scalar path
-        does).  Callers that enumerate structurally valid mappings (e.g. the
-        brute-force solvers) can disable it.
+        does).  Callers that build structurally valid mappings can disable
+        it.
     """
     if validate:
         for mapping in mappings:
@@ -373,7 +374,26 @@ def evaluate_batch(
         return BatchEvaluation(
             periods=np.empty(0, dtype=float), latencies=np.empty(0, dtype=float)
         )
-    starts, ends, procs, offsets = _pack_mappings(mappings)
+    periods, latencies = evaluate_packed(app, platform, *_pack_mappings(mappings))
+    return BatchEvaluation(periods=periods, latencies=latencies)
+
+
+def evaluate_packed(
+    app: PipelineApplication,
+    platform: Platform,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    procs: np.ndarray,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and latencies of a packed batch of mappings.
+
+    The packed form is the one :func:`evaluate_batch` builds: flat interval
+    ``starts`` / ``ends`` / ``procs`` arrays, and ``offsets`` with one entry
+    per mapping plus a final sentinel.  No validation is done, so callers
+    that enumerate structurally valid mappings (the brute-force solvers)
+    evaluate them without building a mapping object each.
+    """
     firsts = offsets[:-1]
     lasts = offsets[1:] - 1
 
@@ -399,10 +419,7 @@ def evaluate_batch(
     # elsewhere would break the bit-identity contract between the kernels.
     periods = np.maximum.reduceat(cycle, firsts)
     latencies = np.add.reduceat(contribution, firsts) + output_time[lasts]
-    return BatchEvaluation(
-        periods=np.asarray(periods, dtype=float),
-        latencies=np.asarray(latencies, dtype=float),
-    )
+    return np.asarray(periods, dtype=float), np.asarray(latencies, dtype=float)
 
 
 def period_batch(

@@ -25,7 +25,7 @@ from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
-from .engine import split_tables
+from ..core.tables import instance_tables
 
 __all__ = [
     "Objective",
@@ -111,7 +111,7 @@ class PipelineHeuristic(abc.ABC):
 
         Exactly one of ``period_bound`` / ``latency_bound`` must be provided,
         matching the heuristic's :attr:`objective`.  The run opens (or joins)
-        a :func:`~repro.heuristics.engine.split_tables` scope, so repeated
+        an :func:`~repro.core.tables.instance_tables` scope, so repeated
         passes — H4's bisection — rank each split once.
         """
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
@@ -132,7 +132,7 @@ class PipelineHeuristic(abc.ABC):
             if latency_bound <= 0:
                 raise ConfigurationError("latency_bound must be positive")
             bound = latency_bound
-        with split_tables():
+        with instance_tables():
             return self._solve(app, platform, float(bound))
 
     @abc.abstractmethod

@@ -27,13 +27,14 @@ cap.  The key is the split geometry (interval bounds, current and new
 processor, rule, improvement flag) plus the three state floats the ranking
 is computed from (the interval's cycle time, the current latency, and the
 latency without the interval), so a hit is bit-identical to re-ranking.
-Tables live in a :func:`split_tables` scope, keyed by the (application,
-platform) object pair: :meth:`PipelineHeuristic.run
-<repro.heuristics.base.PipelineHeuristic.run>` opens one per run and the
-batch service opens one around each in-process dispatch, so every
-threshold and heuristic of an instance shares its tables until the call
-returns.  They are never attached to the instance objects and never part of
-an identity or cache key.
+The rankings live in the instance's entry of an
+:func:`~repro.core.tables.instance_tables` scope, keyed by the
+(application, platform) object pair: :meth:`PipelineHeuristic.run
+<repro.heuristics.base.PipelineHeuristic.run>` opens one per run, the batch
+service opens one around each in-process dispatch and the differential
+oracle one per instance, so every threshold and heuristic of an instance
+shares its rankings until the call returns.  They are never attached to
+the instance objects and never part of an identity or cache key.
 
 The engine assumes a communication-homogeneous platform, as in the paper; the
 fully heterogeneous extension lives in :mod:`repro.extensions`.
@@ -41,11 +42,9 @@ fully heterogeneous extension lives in :mod:`repro.extensions`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,13 +53,12 @@ from ..core.costs import interval_time_components
 from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
+from ..core.tables import tables_for
 
 __all__ = [
     "SelectionRule",
     "SplitCandidate",
-    "SplitTable",
     "SplittingState",
-    "split_tables",
 ]
 
 _EPS = 1e-12
@@ -213,63 +211,6 @@ class _Ranking:
         return found
 
 
-class SplitTable:
-    """Ranked two-way split candidates of one (application, platform) pair.
-
-    ``rankings`` maps a split key — interval bounds, current and new
-    processor, rule, improvement flag, and the state's cycle time of the
-    interval, latency, and latency without the interval — to its
-    :class:`_Ranking`.
-    The pair is held so the registry's ``id()`` keys cannot be recycled
-    while the table lives.
-    """
-
-    __slots__ = ("app", "platform", "rankings", "__weakref__")
-
-    def __init__(self, app: PipelineApplication, platform: Platform) -> None:
-        self.app = app
-        self.platform = platform
-        self.rankings: dict[tuple, _Ranking] = {}
-
-
-#: the open scope's tables, keyed by ``(id(application), id(platform))``
-_TABLES: ContextVar[dict[tuple[int, int], SplitTable] | None] = ContextVar(
-    "repro_split_tables", default=None
-)
-
-
-@contextmanager
-def split_tables() -> Iterator[dict[tuple[int, int], SplitTable]]:
-    """Share split tables between the heuristic runs inside the block.
-
-    Re-entrant: a nested scope joins the outer one, so the tables live as
-    long as the outermost block and are dropped when it exits.  Yields the
-    scope's registry.
-    """
-    registry = _TABLES.get()
-    if registry is not None:
-        yield registry
-        return
-    registry = {}
-    token = _TABLES.set(registry)
-    try:
-        yield registry
-    finally:
-        _TABLES.reset(token)
-
-
-def _table_for(app: PipelineApplication, platform: Platform) -> SplitTable:
-    """The open scope's table of ``(app, platform)``; a private one outside a scope."""
-    registry = _TABLES.get()
-    if registry is None:
-        return SplitTable(app, platform)
-    key = (id(app), id(platform))
-    table = registry.get(key)
-    if table is None:
-        table = registry[key] = SplitTable(app, platform)
-    return table
-
-
 class SplittingState:
     """Mutable mapping state shared by the splitting/exploration heuristics."""
 
@@ -318,7 +259,7 @@ class SplittingState:
         cycle, contrib = self._interval_metrics(0, self._n - 1, fastest)
         self._cycles: list[float] = [cycle]
         self._contribs: list[float] = [contrib]
-        self._table = _table_for(app, platform)
+        self._tables = tables_for(app, platform)
 
     # ------------------------------------------------------------------ #
     # metric helpers
@@ -446,8 +387,9 @@ class SplittingState:
         current processor, or given to the new one) are evaluated; ``None`` is
         returned when the interval is a single stage or no candidate passes
         the filters (improvement / latency cap).  The candidates are ranked
-        once per split key in the state's :class:`SplitTable`; the latency
-        cap only picks among them.
+        once per split key in the instance's
+        :class:`~repro.core.tables.InstanceTables`; the latency cap only
+        picks among them.
         """
         iv = self.intervals[j]
         d, e = iv.start, iv.end
@@ -461,7 +403,7 @@ class SplittingState:
             d, e, proc_j, new_proc, rule, require_improvement,
             old_cycle, old_latency, base_latency,
         )
-        ranking = self._table.rankings.get(key)
+        ranking = self._tables.split_rankings.get(key)
         if ranking is None:
             s_j = float(self._speeds[proc_j])
             s_q = float(self._speeds[new_proc])
@@ -481,7 +423,7 @@ class SplittingState:
                 processors.append(procs)
                 cycles.append((contrib1 + mid, contrib2 + out2))
                 contribs.append((contrib1, contrib2))
-            ranking = self._table.rankings[key] = _Ranking(
+            ranking = self._tables.split_rankings[key] = _Ranking(
                 d, e, cuts[np.newaxis, :], processors, cycles, contribs,
                 rule, old_cycle, old_latency, base_latency, require_improvement,
             )

@@ -48,6 +48,7 @@ from ..core.application import PipelineApplication
 from ..core.costs import evaluate, optimal_latency_mapping, period_lower_bound
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
+from ..core.tables import instance_tables
 from ..exact import one_to_one as _one_to_one_mod
 from ..simulation.event_driven import simulate_mapping
 from ..simulation.synchronous import synchronous_schedule
@@ -297,7 +298,22 @@ def differential_check(
     ``cache`` (a :class:`~repro.cache.store.SolveCache`) memoises the
     per-solver runs of the fan-out; solvers are deterministic, so the
     report is identical with a cold cache, a warm cache or none at all.
+    Every solve of the instance runs in one
+    :func:`~repro.core.tables.instance_tables` scope, so the brute-force
+    enumeration, the bitmask DP's period buckets and the heuristics' split
+    rankings are each derived once per instance.
     """
+    with instance_tables():
+        return _check_instance(app, platform, n_datasets, simulate, cache)
+
+
+def _check_instance(
+    app: PipelineApplication,
+    platform: Platform,
+    n_datasets: int,
+    simulate: bool,
+    cache,
+) -> DifferentialReport:
     sess = _Session(cache=cache)
     n, p = app.n_stages, platform.n_processors
     comm_homog = platform.is_communication_homogeneous

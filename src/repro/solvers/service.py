@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..cache.keys import CacheKey, frontier_key, solve_key
 from ..core.identity import instance_digest
-from ..heuristics.engine import split_tables
+from ..core.tables import instance_tables
 from ..utils.parallel import WorkerPool, parallel_map, resolve_worker_count
 from ..utils.shm import InstanceArena, resolve_instance
 from .base import SolveRequest, SolveResult
@@ -375,7 +375,7 @@ def _solve_tasks(
         units.append((handle, pair, question, document))
 
     # -- dispatch every unit in one map: arena refs when pooled; a serial
-    # map shares one split-table scope across the whole batch ------------ #
+    # map shares one instance-table scope across the whole batch --------- #
     run = pool.map if pool is not None else partial(parallel_map, workers=workers)
     n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
     if n_workers > 1 and len(units) > 1:
@@ -385,7 +385,7 @@ def _solve_tasks(
             _solve_unit, shipped, batch_size=batch_size, payload=arena.shipment()
         )
     else:
-        with split_tables():
+        with instance_tables():
             outcomes = run(_solve_unit, units, batch_size=batch_size)
 
     # -- back-fill and memoise -------------------------------------------- #

@@ -308,6 +308,54 @@ class TestPruneCacheDir:
         store.path_for(keys[0]).write_text("{ not json")
         assert store.get(keys[0]) is None
 
+    def test_blobs_vanishing_or_corrupt_mid_prune(self, tmp_path, solved, monkeypatch):
+        """Faults injected into one prune: a corrupt blob, a blob deleted
+        between the scan's glob and its ``stat``, and one deleted between
+        the ``stat`` and the ``unlink`` (both as a concurrent pruner would).
+        """
+        import os
+        from pathlib import Path
+
+        store, keys = self._fill(tmp_path, solved, n=5)
+        corrupt = store.path_for(keys[4])  # the newest: it survives the prune
+        corrupt.write_text("{ not json")
+        os.utime(corrupt, (1_000_004, 1_000_004))
+        before_stat = store.path_for(keys[2]).name
+        before_unlink = store.path_for(keys[0]).name
+        sizes = {k: store.path_for(k).stat().st_size for k in keys}
+        stat, unlink = Path.stat, Path.unlink
+        fired = []
+
+        def vanishing_stat(self, *args, **kwargs):
+            if self.name == before_stat and os.path.exists(self):
+                os.remove(self)
+                fired.append("stat")
+            return stat(self, *args, **kwargs)
+
+        def vanishing_unlink(self, missing_ok=False):
+            if self.name == before_unlink:
+                os.remove(self)
+                fired.append("unlink")
+            return unlink(self, missing_ok=missing_ok)
+
+        budget = sizes[keys[3]] + sizes[keys[4]]
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "stat", vanishing_stat)
+            patch.setattr(Path, "unlink", vanishing_unlink)
+            n_kept, n_removed, bytes_kept = prune_cache_dir(tmp_path / "store", budget)
+        assert sorted(fired) == ["stat", "unlink"]
+        # keys[2] was never seen; keys[0] (gone already) and keys[1] count as removed
+        assert (n_kept, n_removed, bytes_kept) == (2, 2, budget)
+        on_disk = sorted((tmp_path / "store").glob("*/*.json"))
+        assert [path.name for path in on_disk] == sorted(
+            store.path_for(k).name for k in keys[3:]
+        )
+        assert sum(path.stat().st_size for path in on_disk) == bytes_kept
+        cache = SolveCache(directory=tmp_path / "store")
+        assert cache.get(keys[4]) is None  # corrupt: a miss, never wrong
+        assert cache.get(keys[3]) is not None
+        assert (cache.stats.misses, cache.stats.disk_hits) == (1, 1)
+
 
 class TestSolveWithCache:
     def test_second_call_is_served_from_the_cache(self, instance):

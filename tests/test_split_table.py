@@ -32,9 +32,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import tables
 from repro.core.identity import digest_document
 from repro.core.mapping import Interval
 from repro.core.serialization import solve_result_to_dict
+from repro.core.tables import instance_tables
 from repro.experiments.ablation import (
     _OrderedSplittingMonoPeriod,
     _RatioSplittingPeriod,
@@ -54,7 +56,6 @@ from repro.heuristics import (
     engine,
     get_heuristic,
 )
-from repro.heuristics.engine import split_tables
 from repro.scenarios.families import FAMILIES, generate_scenarios
 from repro.server import DaemonConfig, DaemonThread, ServiceClient
 from repro.solvers.base import SolveResult
@@ -320,7 +321,7 @@ def _caps(latencies: list[float], data) -> list[float | None]:
 )
 def test_best_two_way_split_matches_the_reference_selection(family, seed, data):
     app, platform = FAMILIES[family].build(np.random.default_rng(seed))
-    with split_tables():
+    with instance_tables():
         state = SplittingState(app, platform)
         initial = None
         if state.n_unused:
@@ -387,7 +388,7 @@ def test_the_rank_floats_are_part_of_the_key(perturb):
         state.apply(state.best_two_way_split(0, state.next_unused(1)[0]))
         return state
 
-    with split_tables():
+    with instance_tables():
         first = split_once()
         j = 0  # the long interval: it has improving splits
         query = (j, first.next_unused(1)[0], SelectionRule.RATIO)
@@ -411,11 +412,11 @@ def tables_seen(monkeypatch):
     tables alive.
     """
     seen = []
-    table_for = engine._table_for
+    table_for = engine.tables_for
 
     def recording(app, platform):
         table = table_for(app, platform)
-        registry = engine._TABLES.get()
+        registry = tables._TABLES.get()
         seen.append(
             (
                 weakref.ref(table),
@@ -426,13 +427,13 @@ def tables_seen(monkeypatch):
         )
         return table
 
-    monkeypatch.setattr(engine, "_table_for", recording)
+    monkeypatch.setattr(engine, "tables_for", recording)
     return seen
 
 
 def _assert_dropped(seen):
     assert seen, "no splitting state was built"
-    assert engine._TABLES.get() is None
+    assert tables._TABLES.get() is None
     assert all(ref() is None for ref, _, _, _ in seen)
 
 
@@ -466,23 +467,23 @@ class TestScope:
         _assert_dropped(tables_seen)
 
     def test_nested_scope_reuses_the_outer_scope(self, pair):
-        with split_tables() as outer:
-            with split_tables() as inner:
+        with instance_tables() as outer:
+            with instance_tables() as inner:
                 assert inner is outer
-            assert engine._TABLES.get() is outer
+            assert tables._TABLES.get() is outer
             get_heuristic("H6").run(*pair, latency_bound=pair[0].total_work)
             # the run joined the open scope: its table is still here
             assert list(outer) == [(id(pair[0]), id(pair[1]))]
             state = SplittingState(*pair)
-            assert state._table is outer[(id(pair[0]), id(pair[1]))]
-        assert engine._TABLES.get() is None
+            assert state._tables is outer[(id(pair[0]), id(pair[1]))]
+        assert tables._TABLES.get() is None
 
     def test_a_state_outside_any_scope_gets_a_private_table(self, pair):
-        assert SplittingState(*pair)._table is not SplittingState(*pair)._table
+        assert SplittingState(*pair)._tables is not SplittingState(*pair)._tables
 
     def test_daemon_solver_thread_gets_its_own_scope(self, tmp_path, pair, tables_seen):
         sock = str(tmp_path / "daemon.sock")
-        with split_tables() as mine:
+        with instance_tables() as mine:
             with DaemonThread(DaemonConfig(socket_path=sock, workers=1)):
                 with ServiceClient(sock) as client:
                     client.solve(*pair, "H4", period_bound=1e-9)
