@@ -16,12 +16,9 @@ from .costs import (
     interval_cycle_time,
     interval_time_components,
     latency,
-    latency_batch,
-    latency_of_intervals,
     optimal_latency,
     optimal_latency_mapping,
     period,
-    period_batch,
     period_lower_bound,
 )
 from .exceptions import (
@@ -105,12 +102,9 @@ __all__ = [
     "interval_cycle_time",
     "interval_time_components",
     "latency",
-    "latency_batch",
-    "latency_of_intervals",
     "optimal_latency",
     "optimal_latency_mapping",
     "period",
-    "period_batch",
     "period_lower_bound",
     # pareto
     "BicriteriaPoint",

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import kernels
 from .application import PipelineApplication
-from .exceptions import InvalidMappingError
 from .mapping import Interval, IntervalMapping
 from .platform import Platform
 
@@ -43,12 +42,9 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "evaluate_packed",
-    "period_batch",
-    "latency_batch",
     "optimal_latency",
     "optimal_latency_mapping",
     "period_lower_bound",
-    "latency_of_intervals",
 ]
 
 
@@ -219,9 +215,7 @@ def latency(
     Sum over intervals of (input communication + computation), plus the final
     output communication ``delta_n / b``.
     """
-    costs = _all_interval_costs(app, platform, mapping)
-    total = sum(c.latency_contribution for c in costs)
-    return total + costs[-1].output_time
+    return _latency_sum(_all_interval_costs(app, platform, mapping))
 
 
 def evaluate(
@@ -230,8 +224,22 @@ def evaluate(
     """Evaluate period and latency in a single pass."""
     costs = _all_interval_costs(app, platform, mapping)
     per = max(c.cycle_time for c in costs)
-    lat = sum(c.latency_contribution for c in costs) + costs[-1].output_time
+    lat = _latency_sum(costs)
     return MappingEvaluation(period=per, latency=lat, interval_costs=tuple(costs))
+
+
+def _latency_sum(costs: Sequence[IntervalCost]) -> float:
+    """Eq. (2) added left to right, then the last output.
+
+    Every evaluator of the package (:func:`evaluate_packed`, the local
+    search's :class:`~repro.solvers.moves.MappingState`) adds in this order,
+    so their latencies equal this one bit for bit.  Not ``sum()``: from
+    Python 3.12 it compensates float rounding, which changes the last bits.
+    """
+    total = 0.0
+    for cost in costs:
+        total += cost.latency_contribution
+    return total + costs[-1].output_time
 
 
 # --------------------------------------------------------------------------- #
@@ -342,19 +350,17 @@ def evaluate_batch(
 ) -> BatchEvaluation:
     """Evaluate period and latency of many mappings in one vectorized pass.
 
-    Exact counterpart of calling :func:`evaluate` on every mapping (same
-    floating-point operations per interval, so results agree to the last few
-    ulps), but the per-interval arithmetic runs on flat arrays covering the
-    whole batch.  Works for communication-homogeneous *and* fully
-    heterogeneous platforms.
+    Exact counterpart of calling :func:`evaluate` on every mapping: the same
+    floating-point operations per interval and the same left-to-right
+    latency sum, so periods and latencies equal the scalar ones bit for bit.
+    The arithmetic runs on flat arrays covering the whole batch.  Works for
+    communication-homogeneous *and* fully heterogeneous platforms.
 
     The elementwise per-interval terms dispatch through
     :func:`repro.core.kernels.batch_terms` (the compiled engine for large
-    batches, numpy otherwise), while the final ``reduceat`` reductions
-    **always** run in numpy: the compiled engine is validated to reproduce
-    the terms bit for bit, so periods and latencies are bit-identical
-    whichever kernel served the terms — the exact-arithmetic contract the
-    local search and the solve cache rely on.
+    batches, numpy otherwise), while the reductions **always** run in
+    numpy: the compiled engine is validated to reproduce the terms bit for
+    bit, so the results do not depend on which kernel served the terms.
 
     Parameters
     ----------
@@ -414,60 +420,18 @@ def evaluate_packed(
         None if homogeneous else platform.bandwidth_matrix(),
     )
 
-    # The reductions stay in numpy whichever kernel served the terms:
-    # reduceat's accumulation order is not sequential, and reproducing it
-    # elsewhere would break the bit-identity contract between the kernels.
     periods = np.maximum.reduceat(cycle, firsts)
-    latencies = np.add.reduceat(contribution, firsts) + output_time[lasts]
-    return np.asarray(periods, dtype=float), np.asarray(latencies, dtype=float)
-
-
-def period_batch(
-    app: PipelineApplication,
-    platform: Platform,
-    mappings: Sequence[IntervalMapping],
-    *,
-    validate: bool = True,
-) -> np.ndarray:
-    """Periods of a batch of mappings (eq. 1), vectorized."""
-    return evaluate_batch(app, platform, mappings, validate=validate).periods
-
-
-def latency_batch(
-    app: PipelineApplication,
-    platform: Platform,
-    mappings: Sequence[IntervalMapping],
-    *,
-    validate: bool = True,
-) -> np.ndarray:
-    """Latencies of a batch of mappings (eq. 2), vectorized."""
-    return evaluate_batch(app, platform, mappings, validate=validate).latencies
-
-
-def latency_of_intervals(
-    app: PipelineApplication,
-    platform: Platform,
-    intervals: Sequence[Interval],
-    processors: Sequence[int],
-) -> float:
-    """Latency of a (possibly partial) chain of intervals without validation.
-
-    Used by the heuristics when scoring candidate splits: the candidate is not
-    a fully-formed :class:`IntervalMapping` yet, but eq. (2) only needs the
-    interval boundaries and the assigned processors.
-    """
-    if len(intervals) != len(processors) or not intervals:
-        raise InvalidMappingError("intervals and processors must align and be non-empty")
-    total = 0.0
-    for j, (iv, proc) in enumerate(zip(intervals, processors)):
-        predecessor = processors[j - 1] if j > 0 else None
-        cost = _interval_cost(app, platform, iv, proc, predecessor, None)
-        total += cost.input_time + cost.compute_time
-    last = intervals[-1]
-    last_cost = _interval_cost(
-        app, platform, last, processors[-1], None, None
-    )
-    return total + last_cost.output_time
+    # eq. (2) left to right, as the scalar evaluate adds it: position k of
+    # every mapping with more than k intervals joins in the k-th step
+    counts = offsets[1:] - firsts
+    latencies = contribution[firsts]
+    for k in range(1, int(counts.max())):
+        np.add(
+            latencies, contribution[np.minimum(firsts + k, lasts)],
+            out=latencies, where=counts > k,
+        )
+    latencies += output_time[lasts]
+    return np.asarray(periods, dtype=float), latencies
 
 
 # --------------------------------------------------------------------------- #

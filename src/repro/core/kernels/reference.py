@@ -2,17 +2,17 @@
 
 These are the oracle semantics the compiled engine must reproduce:
 
-* the **numpy** table kernels are the broadcast/reduce DP inner loops that
-  used to live in :mod:`repro.exact.homogeneous_dp` (``vectorized=True``);
+* the **numpy** table kernels are the broadcast/reduce DP inner loops of
+  :mod:`repro.exact.homogeneous_dp`;
 * the **scalar** table kernels are the original Python loops, never run by
   the solvers: they are the human-auditable oracle the tests and
   ``benchmarks/bench_exact_runtime.py`` compare the tables against;
 * :func:`batch_terms_numpy` is the elementwise half of
   :func:`repro.core.costs.evaluate_batch` — per-interval (cycle,
-  contribution, output) terms over the flat packed batch.  The final
-  ``reduceat`` reductions stay in numpy in :mod:`repro.core.costs`, so a
-  compiled engine that reproduces these terms bit for bit yields
-  bit-identical periods and latencies.
+  contribution, output) terms over the flat packed batch.  The period max
+  and the left-to-right latency sum stay in numpy in
+  :mod:`repro.core.costs`, so a compiled engine that reproduces these terms
+  bit for bit yields bit-identical periods and latencies.
 
 The compiled engine (:mod:`repro.core.kernels.compiled`) validates itself
 against these functions at load time and is rejected with a recorded reason

@@ -143,23 +143,6 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b)) + _TINY
 
 
-def _key_not_worse(after: tuple, before: tuple) -> bool:
-    """Tolerance-aware lexicographic "not worse" between objective keys.
-
-    A component strictly below its counterpart decides in favour; one within
-    the same-kernel tolerance defers to the next rank; anything clearly
-    above is a genuine regression.  The tolerance absorbs the ulp-level gap
-    between a seed heuristic's self-reported metrics and the move engine's
-    batch-exact recomputation of the identical mapping.
-    """
-    for a, b in zip(after, before):
-        if a < b:
-            return True
-        if not _close(a, b, _REL):
-            return False
-    return True
-
-
 def _positive(bound: float) -> float:
     """Thresholds must be strictly positive; degenerate instances yield 0."""
     return max(float(bound), 1e-6)
@@ -665,11 +648,10 @@ def _check_instance(
     # Each local-search solver is run at its default step budget and held to
     # three promises: the result is structurally sound and honestly flagged,
     # it is never worse than the seed mapping it refined (under the solver's
-    # lexicographic objective key, at the same-kernel 1e-9 tolerance — the
-    # seed heuristic's own reported metrics may differ from the move
-    # engine's batch-exact recomputation of the same mapping by an ulp), and
-    # the recorded seed provenance matches an independent run of the named
-    # seed solver.  The generic never-beats-a-proven-optimum checks apply
+    # lexicographic objective key, compared exactly: the move engine
+    # re-evaluates the seed mapping to the seed solver's own bits), and the
+    # recorded seed provenance matches an independent run of the named seed
+    # solver.  The generic never-beats-a-proven-optimum checks apply
     # exactly as for heuristics.
     small_ls = n <= _LS_MAX_STAGES and p <= _LS_MAX_PROCS
     if small_ls:
@@ -737,7 +719,7 @@ def _check_instance(
                 result.period, result.latency, result.objective, bound
             )
             sess.expect(
-                _key_not_worse(key_result, key_seed),
+                key_result <= key_seed,
                 "local-search-worse-than-seed",
                 f"{label}: refined objective key {key_result!r} is worse than "
                 f"its seed's {key_seed!r}",
@@ -746,8 +728,8 @@ def _check_instance(
                 seed_result = _run(sess, seed_name, app, platform, **bounds)
                 if seed_result is not None:
                     sess.expect(
-                        _close(seed_period, seed_result.period, _REL)
-                        and _close(seed_latency, seed_result.latency, _REL),
+                        (seed_period, seed_latency)
+                        == (seed_result.period, seed_result.latency),
                         "local-search-seed-provenance",
                         f"{label}: recorded seed ({seed_period!r}, "
                         f"{seed_latency!r}) != a fresh {seed_name} run "

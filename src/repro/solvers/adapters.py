@@ -357,6 +357,7 @@ register_solver(
     SolverSpec(
         name="brute-force-period",
         key="BF-P",
+        version="2",
         family=SolverFamily.EXACT,
         objective=Objective.MIN_PERIOD,
         solve_fn=_brute_force_period,
@@ -369,6 +370,7 @@ register_solver(
     SolverSpec(
         name="brute-force-latency",
         key="BF-L",
+        version="2",
         family=SolverFamily.EXACT,
         objective=Objective.MIN_LATENCY,
         solve_fn=_brute_force_latency,
@@ -604,6 +606,7 @@ register_solver(
     SolverSpec(
         name="local-search-h1",
         key="LS-H1",
+        version="2",
         family=SolverFamily.EXTENSION,
         objective=Objective.MIN_LATENCY_FOR_PERIOD,
         solve_fn=_local_search_solve_fn(
@@ -623,6 +626,7 @@ register_solver(
     SolverSpec(
         name="local-search-h6",
         key="LS-H6",
+        version="2",
         family=SolverFamily.EXTENSION,
         objective=Objective.MIN_PERIOD_FOR_LATENCY,
         solve_fn=_local_search_solve_fn(
@@ -642,6 +646,7 @@ register_solver(
     SolverSpec(
         name="local-search-random",
         key="LS-R",
+        version="2",
         family=SolverFamily.EXTENSION,
         objective=Objective.MIN_PERIOD,
         solve_fn=_local_search_solve_fn("random", _seed_random),

@@ -6,8 +6,8 @@ migrations, merges and splits (:mod:`repro.solvers.moves`), under a
 lexicographic objective key that puts threshold violations first.  Costs are
 maintained incrementally: the state caches per-interval ``(input, compute,
 output)`` entries and every candidate move recomputes only the entries it
-dirties, in exact floating-point agreement with
-:func:`repro.core.costs.evaluate_batch`.
+dirties, equal bit for bit to :func:`repro.core.costs.evaluate` and
+:func:`repro.core.costs.evaluate_batch`: all three add eq. (2) left to right.
 
 Candidate bookkeeping is BOEM-style (SNIPPETS.md Snippet 1): per-site
 candidate lists are kept across steps and re-enumerated only for the sites a

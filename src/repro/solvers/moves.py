@@ -13,21 +13,20 @@ and latency from the entry arrays.
 Bit-exactness contract
 ----------------------
 The period and latency of every candidate equal, to the last bit, what
-``evaluate_batch([mapping])`` returns for the full mapping.  This holds
-because each entry is computed with the same scalar IEEE-754 operations the
-batch kernel applies element-wise (zero-communication guards included), the
-period is an order-insensitive max, and the latency is a left-to-right sum of
-``input + compute`` contributions plus the last output — the same sequential
-accumulation ``np.add.reduceat`` performs.  The property suite
-(``tests/test_local_search_properties.py``) asserts ``==``, not ``approx``.
+:func:`~repro.core.costs.evaluate` and ``evaluate_batch([mapping])`` return
+for the full mapping.  This holds because each entry is computed with the
+same IEEE-754 operations the batch kernel applies element-wise
+(zero-communication guards included), the period is an order-insensitive
+max, and the latency is the left-to-right sum of ``input + compute``
+contributions plus the last output that every evaluator of eq. (2) adds.
+The property suites (``tests/test_local_search_properties.py``,
+``tests/test_kernels_parity.py``) assert ``==``, not ``approx``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from ..core.application import PipelineApplication
 from ..core.mapping import IntervalMapping
@@ -153,26 +152,21 @@ class MappingState:
 def _aggregate(
     inputs: Sequence[float], computes: Sequence[float], outputs: Sequence[float]
 ) -> tuple[float, float]:
-    """Period and latency from entry arrays, matching evaluate_batch exactly.
+    """Period and latency from entry arrays, matching evaluate exactly.
 
     ``cycle = (input + compute) + output`` mirrors the batch kernel's
-    left-associated sum; the max is order-insensitive, so a scalar loop
-    suffices for the period.  The latency contributions are summed through
-    ``np.add.reduceat`` itself — its SIMD accumulation order is neither
-    left-to-right nor ``np.sum``'s pairwise scheme, but it is offset
-    independent, so delegating to the same ufunc reproduces the batch
-    kernel's bits exactly.
+    left-associated sum, and the latency adds the ``input + compute``
+    contributions left to right, then the last output.
     """
     period = float("-inf")
-    contributions = np.empty(len(inputs), dtype=float)
-    for j, (i, c, o) in enumerate(zip(inputs, computes, outputs)):
+    latency = 0.0
+    for i, c, o in zip(inputs, computes, outputs):
         contribution = i + c
-        contributions[j] = contribution
+        latency += contribution
         cycle = contribution + o
         if cycle > period:
             period = cycle
-    latency = float(np.add.reduceat(contributions, [0])[0] + outputs[-1])
-    return period, latency
+    return period, latency + outputs[-1]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from repro.core.costs import (
     interval_compute_time,
     interval_cycle_time,
     latency,
-    latency_of_intervals,
     optimal_latency,
     optimal_latency_mapping,
     period,
@@ -89,20 +88,15 @@ class TestHelpers:
         assert ev.interval_costs[0].cycle_time == pytest.approx(c0)
         assert ev.interval_costs[1].cycle_time == pytest.approx(c1)
 
-    def test_latency_of_intervals_matches_latency(self, small_app, small_platform):
-        mapping = IntervalMapping([(0, 1), (2, 3)], [0, 2])
-        expected = latency(small_app, small_platform, mapping)
-        got = latency_of_intervals(
-            small_app,
-            small_platform,
-            list(mapping.intervals),
-            list(mapping.processors),
-        )
-        assert got == pytest.approx(expected)
-
-    def test_latency_of_intervals_rejects_mismatch(self, small_app, small_platform):
-        with pytest.raises(InvalidMappingError):
-            latency_of_intervals(small_app, small_platform, [Interval(0, 1)], [0, 1])
+    def test_latency_adds_eq2_left_to_right(self, small_app, small_platform):
+        mapping = IntervalMapping([(0, 0), (1, 1), (2, 3)], [0, 2, 1])
+        ev = evaluate(small_app, small_platform, mapping)
+        total = 0.0
+        for cost in ev.interval_costs:
+            total += cost.input_time + cost.compute_time
+        expected = total + ev.interval_costs[-1].output_time
+        assert ev.latency == expected
+        assert latency(small_app, small_platform, mapping) == expected
 
     def test_zero_communication_is_free(self):
         app = PipelineApplication([2.0, 2.0], [0.0, 0.0, 0.0])

@@ -1,9 +1,9 @@
 """Tests of the vectorized batch cost kernel (``evaluate_batch``).
 
 The contract is exact parity with the scalar path: for any valid mapping the
-batched period/latency must match :func:`repro.core.costs.evaluate` within
-1e-9 (in practice they agree to a few ulps, since the kernel performs the
-same floating-point operations on flat arrays).
+batched period/latency equal what :func:`repro.core.costs.evaluate` returns,
+bit for bit, since the kernel performs the same floating-point operations on
+flat arrays and adds the latency in the same left-to-right order.
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from repro.core.costs import (
     evaluate,
     evaluate_batch,
     interval_time_components,
-    latency_batch,
-    period_batch,
+    latency,
+    period,
 )
 from repro.core.exceptions import InvalidMappingError
 from repro.core.mapping import IntervalMapping
 from repro.core.platform import Platform
 from repro.exact.brute_force import enumerate_interval_mappings
 from repro.generators.experiments import experiment_config, generate_instances
-
-_REL_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------------- #
@@ -80,15 +78,14 @@ def instances_with_mappings(draw, max_stages: int = 10, max_procs: int = 6):
 class TestScalarParity:
     @given(instances_with_mappings())
     @settings(max_examples=120, deadline=None)
-    def test_batched_matches_scalar_within_1e9(self, case):
-        """Property: batched results match scalar evaluate() within 1e-9."""
+    def test_batched_matches_scalar_bitwise(self, case):
+        """Property: batched results equal scalar evaluate() bit for bit."""
         app, platform, mappings = case
         batch = evaluate_batch(app, platform, mappings)
         assert batch.n_mappings == len(mappings)
         for i, mapping in enumerate(mappings):
             scalar = evaluate(app, platform, mapping)
-            assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
-            assert batch.latencies[i] == pytest.approx(scalar.latency, rel=_REL_TOL)
+            assert batch.point(i) == (scalar.period, scalar.latency)
 
     def test_parity_over_full_enumeration(self):
         """Every mapping of a full enumeration agrees with the scalar path."""
@@ -99,8 +96,7 @@ class TestScalarParity:
             batch = evaluate_batch(app, platform, mappings, validate=False)
             for i in (0, len(mappings) // 3, len(mappings) // 2, len(mappings) - 1):
                 scalar = evaluate(app, platform, mappings[i])
-                assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
-                assert batch.latencies[i] == pytest.approx(scalar.latency, rel=_REL_TOL)
+                assert batch.point(i) == (scalar.period, scalar.latency)
 
     def test_parity_on_heterogeneous_platform(self):
         """The kernel handles per-link bandwidths like the scalar path."""
@@ -120,8 +116,7 @@ class TestScalarParity:
         batch = evaluate_batch(app, platform, mappings)
         for i, mapping in enumerate(mappings):
             scalar = evaluate(app, platform, mapping)
-            assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
-            assert batch.latencies[i] == pytest.approx(scalar.latency, rel=_REL_TOL)
+            assert batch.point(i) == (scalar.period, scalar.latency)
 
     def test_zero_communication_sizes(self):
         """delta = 0 boundaries cost nothing in both paths."""
@@ -136,8 +131,7 @@ class TestScalarParity:
         batch = evaluate_batch(app, platform, mappings)
         for i, mapping in enumerate(mappings):
             scalar = evaluate(app, platform, mapping)
-            assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
-            assert batch.latencies[i] == pytest.approx(scalar.latency, rel=_REL_TOL)
+            assert batch.point(i) == (scalar.period, scalar.latency)
 
 
 # ----------------------------------------------------------------------------- #
@@ -150,24 +144,24 @@ class TestBatchApi:
         assert len(batch) == 0
         assert batch.points() == []
 
-    def test_wrappers_match_evaluate_batch(self, small_app, small_platform):
+    def test_columns_match_scalar_period_and_latency(self, small_app, small_platform):
         mappings = [
             IntervalMapping.single_processor(small_app.n_stages, 0),
             IntervalMapping([(0, 1), (2, 3)], [0, 1]),
         ]
         batch = evaluate_batch(small_app, small_platform, mappings)
-        assert np.array_equal(
-            period_batch(small_app, small_platform, mappings), batch.periods
-        )
-        assert np.array_equal(
-            latency_batch(small_app, small_platform, mappings), batch.latencies
-        )
+        assert batch.periods.tolist() == [
+            period(small_app, small_platform, m) for m in mappings
+        ]
+        assert batch.latencies.tolist() == [
+            latency(small_app, small_platform, m) for m in mappings
+        ]
 
     def test_points_accessors(self, small_app, small_platform):
         mappings = [IntervalMapping.single_processor(small_app.n_stages, 0)]
         batch = evaluate_batch(small_app, small_platform, mappings)
         scalar = evaluate(small_app, small_platform, mappings[0])
-        assert batch.point(0) == pytest.approx((scalar.period, scalar.latency))
+        assert batch.point(0) == (scalar.period, scalar.latency)
         assert batch.points()[0] == batch.point(0)
 
     def test_validation_rejects_mismatched_mapping(self, small_app, small_platform):

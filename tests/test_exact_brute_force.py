@@ -14,6 +14,7 @@ from repro.exact.brute_force import (
     brute_force_pareto_front,
     enumerate_interval_mappings,
 )
+from repro.generators.experiments import experiment_config, generate_instances
 
 
 class TestEnumeration:
@@ -109,3 +110,21 @@ class TestParetoFront:
             ev = evaluate(small_app, small_platform, point.payload)
             assert ev.period == pytest.approx(point.period)
             assert ev.latency == pytest.approx(point.latency)
+
+    def test_points_equal_scalar_evaluate_bitwise(self):
+        """Front floats are the scalar evaluate() of their mapping, exactly.
+
+        The enumeration table and the scalar path add eq. (2) in the same
+        order, so brute force selects on the floats it reports.  These
+        fronts hold mappings of 3 and 4 intervals, where a different
+        summation order would show in the last bits.
+        """
+        config = experiment_config("E1", 7, 4, n_instances=3)
+        widest = 0
+        for inst in generate_instances(config, seed=0):
+            app, platform = inst.application, inst.platform
+            for point in brute_force_pareto_front(app, platform):
+                ev = evaluate(app, platform, point.payload)
+                assert (point.period, point.latency) == (ev.period, ev.latency)
+                widest = max(widest, point.payload.n_intervals)
+        assert widest >= 3

@@ -5,8 +5,13 @@ The kernel contract (:mod:`repro.core.kernels`) is two-tiered:
 * the compiled engine is **bit-identical** to numpy — it computes the same
   elementwise terms and every reduction stays in numpy, so periods,
   latencies and DP tables match to the last bit;
-* the scalar reference loops (:mod:`repro.core.kernels.reference`) agree
-  within 1e-9 relative — same mathematics, different summation order.
+* the scalar reference DP loops (:mod:`repro.core.kernels.reference`)
+  agree within 1e-9 relative — same mathematics, different tie rule.
+
+Every evaluator of a mapping — scalar :func:`~repro.core.costs.evaluate`,
+:func:`~repro.core.costs.evaluate_batch` with the engine on or off, and the
+local search's :class:`~repro.solvers.moves.MappingState` — adds eq. (2)
+left to right, so all of them agree with ``==``.
 
 Kernel-level cases call the engine's functions
 (:func:`repro.core.kernels.compiled.engine_functions`) and the reference
@@ -31,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import kernels
 from repro.core.application import PipelineApplication
 from repro.core.costs import _pack_mappings, evaluate, evaluate_batch
-from repro.core.kernels import compiled, reference
+from repro.core.kernels import compiled, dispatch, reference
 from repro.core.mapping import IntervalMapping
 from repro.core.platform import Platform
 from repro.exact.homogeneous_dp import (
@@ -45,6 +50,7 @@ from repro.scenarios import (
     load_corpus,
 )
 from repro.solvers import get_solver
+from repro.solvers.moves import MappingState
 from tests.kernel_engine import engine_disabled, scalar_tables
 from tests.test_corpus_replay import CORPUS_DIR
 
@@ -120,15 +126,40 @@ class TestBatchParity:
 
     @given(case=scenario_instances(), mapping_seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_scalar_agrees_within_1e9(self, case, mapping_seed):
-        """Property: the scalar loops agree with the batch within 1e-9."""
+    def test_scalar_batch_and_state_agree_bitwise(self, case, mapping_seed):
+        """Property: every evaluator returns the same period and latency."""
         app, platform = case
-        mappings = _random_mappings(app, platform, mapping_seed)
-        batch = evaluate_batch(app, platform, mappings)
-        for i, mapping in enumerate(mappings):
-            scalar = evaluate(app, platform, mapping)
-            assert batch.periods[i] == pytest.approx(scalar.period, rel=_REL_TOL)
-            assert batch.latencies[i] == pytest.approx(scalar.latency, rel=_REL_TOL)
+        _assert_evaluators_agree(
+            app, platform, _random_mappings(app, platform, mapping_seed)
+        )
+
+    @pytest.mark.parametrize("family", family_names())
+    def test_every_family_agrees_bitwise(self, family):
+        """The same agreement on each of the eight scenario families."""
+        for seed, scenario in enumerate(generate_scenarios(4, [family], 7)):
+            app, platform = scenario.application, scenario.platform
+            _assert_evaluators_agree(
+                app, platform, _random_mappings(app, platform, seed, count=12)
+            )
+
+
+def _assert_evaluators_agree(app, platform, mappings) -> None:
+    """Scalar evaluate == evaluate_batch (engine on, engine off) == state.
+
+    The dispatch floor is lowered to 0 so that a batch this small reaches
+    the engine wherever it validated.
+    """
+    with mock.patch.object(dispatch, "ELEMENTWISE_COMPILED_MIN", 0):
+        served = evaluate_batch(app, platform, mappings)
+    with engine_disabled():
+        on_numpy = evaluate_batch(app, platform, mappings)
+    for i, mapping in enumerate(mappings):
+        scalar = evaluate(app, platform, mapping)
+        want = (scalar.period, scalar.latency)
+        state = MappingState(app, platform, mapping)
+        assert served.point(i) == want
+        assert on_numpy.point(i) == want
+        assert (state.period, state.latency) == want
 
 
 # ----------------------------------------------------------------------------- #
