@@ -361,10 +361,8 @@ class SolveCache:
     def get_frontier(self, key: CacheKey) -> dict[str, Any] | None:
         """The memoised frontier document for ``key``, or ``None``.
 
-        The returned document is a private deep copy: callers extend it
-        (monotone anchors grow as new thresholds are solved) and re-``put``
-        it, and handing out the stored object would let that read-modify-
-        write race corrupt other readers' views.
+        The returned document is a private deep copy, so no caller can
+        alter the stored one that other readers share.
         """
         digest = key.digest
         with self._lock:

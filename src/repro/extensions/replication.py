@@ -131,6 +131,7 @@ def evaluate_replicated(
 
     interval_periods: list[float] = []
     interval_latencies: list[float] = []
+    latency = 0.0  # eq. (2) added left to right, as core.costs.evaluate adds it
     for item in mapping.assignments:
         iv = item.interval
         in_bw = b_in if iv.start == 0 else b
@@ -142,11 +143,12 @@ def evaluate_replicated(
         cycle = input_time + work_time + output_time
         interval_periods.append(cycle / item.replication_factor)
         interval_latencies.append(input_time + work_time)
+        latency += interval_latencies[-1]
 
     final_out = app.comm(n) / b_out if app.comm(n) else 0.0
     return ReplicatedEvaluation(
         period=max(interval_periods),
-        latency=sum(interval_latencies) + final_out,
+        latency=latency + final_out,
         interval_periods=tuple(interval_periods),
         interval_latencies=tuple(interval_latencies),
     )

@@ -36,6 +36,22 @@ __all__ = [
 ]
 
 
+def stop_limit(bound: float) -> float:
+    """The largest value that still meets ``bound``.
+
+    The one feasibility tolerance of the splitting heuristics: their stop
+    tests, result flags and latency caps, and the frontier replay of those
+    stop tests (:mod:`repro.solvers.frontier`), all compare against this
+    float, so they agree bit for bit.
+    """
+    return bound * (1 + 1e-9) + 1e-12
+
+
+def reached(value: float, bound: float) -> bool:
+    """Whether ``value`` meets ``bound`` within :func:`stop_limit`."""
+    return value <= stop_limit(bound)
+
+
 class Objective:
     """String constants describing what a heuristic optimises."""
 
@@ -155,9 +171,9 @@ class PipelineHeuristic(abc.ABC):
     ) -> HeuristicResult:
         ev = evaluate(app, platform, mapping)
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-            feasible = ev.period <= bound * (1 + 1e-9) + 1e-12
+            feasible = reached(ev.period, bound)
         else:
-            feasible = ev.latency <= bound * (1 + 1e-9) + 1e-12
+            feasible = reached(ev.latency, bound)
         return HeuristicResult(
             heuristic=self.name,
             mapping=mapping,

@@ -29,7 +29,7 @@ from ..core.costs import evaluate
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
 from ..utils.rng import ensure_rng
-from .base import FixedPeriodHeuristic, HeuristicResult
+from .base import FixedPeriodHeuristic, HeuristicResult, reached
 
 __all__ = ["ChainsPartitionBaseline", "RandomMappingBaseline"]
 
@@ -71,7 +71,7 @@ class ChainsPartitionBaseline(FixedPeriodHeuristic):
             if ev.period < best_period:
                 best_mapping, best_period = mapping, ev.period
                 chosen_m = m
-            if ev.period <= bound * (1 + 1e-9) + 1e-12:
+            if reached(ev.period, bound):
                 best_mapping, best_period = mapping, ev.period
                 chosen_m = m
                 break

@@ -20,16 +20,10 @@ from typing import ClassVar
 
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
-from .base import FixedPeriodHeuristic, HeuristicResult
+from .base import FixedPeriodHeuristic, HeuristicResult, reached
 from .engine import SelectionRule, SplittingState
 
 __all__ = ["SplittingBiPeriod"]
-
-_REL_TOL = 1e-9
-
-
-def _reached(value: float, bound: float) -> bool:
-    return value <= bound * (1 + _REL_TOL) + 1e-12
 
 
 class SplittingBiPeriod(FixedPeriodHeuristic):
@@ -54,7 +48,7 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
         state = SplittingState(app, platform)
         history = [state.point()]
         n_splits = 0
-        while not _reached(state.period, period_bound):
+        while not reached(state.period, period_bound):
             unused = state.next_unused(1)
             if not unused:
                 break
@@ -79,7 +73,7 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
         # Unconstrained pass: establishes feasibility and the upper bound of
         # the binary search on the authorised latency.
         state, n_splits, history = self._splitting_pass(app, platform, bound, None)
-        if not _reached(state.period, bound):
+        if not reached(state.period, bound):
             # the prescribed period cannot be reached even without a latency cap
             return self._make_result(
                 app, platform, state.mapping(), bound, n_splits, history
@@ -95,7 +89,7 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
             trial_state, trial_splits, trial_history = self._splitting_pass(
                 app, platform, bound, mid
             )
-            if _reached(trial_state.period, bound):
+            if reached(trial_state.period, bound):
                 hi = mid
                 if trial_state.latency < best_state.latency - 1e-12:
                     best_state, best_splits, best_history = (

@@ -54,6 +54,7 @@ from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
 from ..core.tables import tables_for
+from .base import stop_limit
 
 __all__ = [
     "SelectionRule",
@@ -62,6 +63,16 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+
+def _added(values: Sequence[float]) -> float:
+    """``values`` added left to right, the order eq. (2) is added in by
+    :func:`repro.core.costs.evaluate` — not ``sum()``, which compensates
+    float rounding from Python 3.12 and so changes the last bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class SelectionRule:
@@ -309,7 +320,7 @@ class SplittingState:
     @property
     def latency(self) -> float:
         """Current latency (sum of contributions plus final output)."""
-        return sum(self._contribs) + self._tail
+        return _added(self._contribs) + self._tail
 
     @property
     def bottleneck_index(self) -> int:
@@ -344,7 +355,7 @@ class SplittingState:
         )
 
     def _base_latency_without(self, j: int) -> float:
-        return sum(self._contribs) - self._contribs[j] + self._tail
+        return _added(self._contribs) - self._contribs[j] + self._tail
 
     def _pick(
         self, ranking: _Ranking, j: int, latency_cap: float | None
@@ -353,7 +364,7 @@ class SplittingState:
         if latency_cap is None:
             i = 0
         else:
-            cap = latency_cap * (1 + 1e-9) + 1e-12
+            cap = stop_limit(latency_cap)
             i = int(np.searchsorted(ranking.neg_floor, -cap))
         if i >= ranking.neg_floor.size:
             return None

@@ -26,16 +26,10 @@ from typing import ClassVar
 
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
-from .base import FixedPeriodHeuristic, HeuristicResult
+from .base import FixedPeriodHeuristic, HeuristicResult, reached
 from .engine import SelectionRule, SplitCandidate, SplittingState
 
 __all__ = ["ThreeExploMono", "ThreeExploBi"]
-
-_REL_TOL = 1e-9
-
-
-def _reached(value: float, bound: float) -> bool:
-    return value <= bound * (1 + _REL_TOL) + 1e-12
 
 
 class _ThreeExploration(FixedPeriodHeuristic):
@@ -58,7 +52,7 @@ class _ThreeExploration(FixedPeriodHeuristic):
         state = SplittingState(app, platform)
         history = [state.point()]
         n_splits = 0
-        while not _reached(state.period, bound):
+        while not reached(state.period, bound):
             candidate = self._step_candidate(state)
             if candidate is None:
                 break

@@ -585,39 +585,16 @@ def _check_instance(
     # ------------------------------------------------------------------ #
     # frontier extraction: one-run curves must equal the direct solves
     # ------------------------------------------------------------------ #
-    # Every frontier-capable solver promises bit-identical extraction
-    # (SolveResult.identity) at any threshold, including below the
-    # infeasible knee; bound_lo probes that region, bound_mid/bound_hi the
-    # feasible curve.  The direct solves reuse the session cache, so a
+    # Every frontier-capable solver (H1-H3) promises bit-identical
+    # extraction (SolveResult.identity) at any threshold, including below
+    # the infeasible knee; bound_lo probes that region, bound_mid/bound_hi
+    # the feasible curve.  The direct solves reuse the session cache, so a
     # warm/cold cache cannot change the verdict.
     bound_lo = _positive(0.5 * p_lb)
-    latency_lo = _positive(0.75 * latency_opt)
-    frontier_cases: list[tuple[str, str, tuple[float, ...]]] = []
-    if comm_homog:
-        for key in ("H1", "H2", "H3"):
-            frontier_cases.append(
-                (key, "period_bound", (bound_lo, bound_mid, bound_hi))
-            )
-    if fully_homog:
-        frontier_cases.append(
-            ("hom-dp-latency-for-period", "period_bound", (bound_lo, bound_mid, bound_hi))
-        )
-        frontier_cases.append(
-            ("hom-dp-period-for-latency", "latency_bound", (latency_lo, latency_bound))
-        )
-    if small_bm:
-        frontier_cases.append(
-            (
-                "bitmask-dp-latency-for-period",
-                "period_bound",
-                (bound_lo, bound_mid, bound_hi),
-            )
-        )
-    for name, bound_kw, thresholds in frontier_cases:
+    thresholds = (bound_lo, bound_mid, bound_hi)
+    for name in ("H1", "H2", "H3") if comm_homog else ():
         solver = get_solver(name)
-        if not frontier_eligible(
-            solver, solver.default_request(**{bound_kw: thresholds[0]})
-        ):
+        if not frontier_eligible(solver, solver.default_request(period_bound=bound_lo)):
             continue
         try:
             _, extracted, _ = frontier_solve(solver, app, platform, thresholds)
@@ -628,7 +605,7 @@ def _check_instance(
             )
             continue
         for threshold, from_frontier in zip(thresholds, extracted):
-            direct = _run(sess, name, app, platform, **{bound_kw: threshold})
+            direct = _run(sess, name, app, platform, period_bound=threshold)
             if direct is None or from_frontier is None:
                 continue
             sess.expect(

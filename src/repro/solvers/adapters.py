@@ -128,12 +128,11 @@ def heuristic_solve_fn(
 # every threshold (see repro.solvers.frontier).  H4 bisects with a
 # threshold-dependent latency cap and H5/H6 cap the selection at the bound,
 # so their trajectories are bound-dependent and not frontier-replayable.
-_STEPS_FRONTIER_KEYS = ("H1", "H2", "H3")
+_FRONTIER_KEYS = ("H1", "H2", "H3")
 
 for _cls in HEURISTIC_CLASSES:
-    _frontier = "steps" if _cls.key in _STEPS_FRONTIER_KEYS else None
     _caps = {Capability.BICRITERIA, Capability.COMM_HOMOGENEOUS_ONLY}
-    if _frontier is not None:
+    if _cls.key in _FRONTIER_KEYS:
         _caps.add(Capability.FRONTIER)
     register_solver(
         SolverSpec(
@@ -145,7 +144,6 @@ for _cls in HEURISTIC_CLASSES:
             capabilities=frozenset(_caps),
             description=f"Section 4 heuristic {_cls.key} ({_cls.name})",
             aliases=(_cls.__name__,),
-            frontier=_frontier,
         )
     )
 
@@ -209,16 +207,10 @@ register_solver(
         objective=Objective.MIN_LATENCY_FOR_PERIOD,
         solve_fn=_hom_dp_latency_for_period,
         capabilities=frozenset(
-            {
-                Capability.EXACT,
-                Capability.HOMOGENEOUS_ONLY,
-                Capability.BICRITERIA,
-                Capability.FRONTIER,
-            }
+            {Capability.EXACT, Capability.HOMOGENEOUS_ONLY, Capability.BICRITERIA}
         ),
         description="optimal latency under a period bound (homogeneous DP)",
         aliases=("homogeneous_min_latency_for_period",),
-        frontier="monotone",
     )
 )
 register_solver(
@@ -229,16 +221,10 @@ register_solver(
         objective=Objective.MIN_PERIOD_FOR_LATENCY,
         solve_fn=_hom_dp_period_for_latency,
         capabilities=frozenset(
-            {
-                Capability.EXACT,
-                Capability.HOMOGENEOUS_ONLY,
-                Capability.BICRITERIA,
-                Capability.FRONTIER,
-            }
+            {Capability.EXACT, Capability.HOMOGENEOUS_ONLY, Capability.BICRITERIA}
         ),
         description="optimal period under a latency bound (homogeneous DP)",
         aliases=("homogeneous_min_period_for_latency",),
-        frontier="monotone",
     )
 )
 
@@ -274,16 +260,10 @@ register_solver(
         objective=Objective.MIN_LATENCY_FOR_PERIOD,
         solve_fn=_bitmask_latency_for_period,
         capabilities=frozenset(
-            {
-                Capability.EXACT,
-                Capability.COMM_HOMOGENEOUS_ONLY,
-                Capability.BICRITERIA,
-                Capability.FRONTIER,
-            }
+            {Capability.EXACT, Capability.COMM_HOMOGENEOUS_ONLY, Capability.BICRITERIA}
         ),
         description="exact latency under a period bound (O(n^2 2^p p) subset DP)",
         aliases=("bitmask-dp", "dp_min_latency_for_period"),
-        frontier="monotone",
     )
 )
 register_solver(

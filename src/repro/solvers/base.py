@@ -104,10 +104,10 @@ class Capability:
     #: anytime solver: requires a step/time budget on the request and returns
     #: the best solution found within it (more budget, same or better result)
     ANYTIME = "anytime"
-    #: frontier-capable solver: one run can answer every threshold of its
-    #: bounded objective (the full threshold -> result curve), with each
-    #: extracted result bit-identical to the corresponding direct solve
-    #: (see :mod:`repro.solvers.frontier`)
+    #: frontier-capable solver: its trajectory never sees the threshold, so
+    #: one run to exhaustion answers every threshold of its bounded
+    #: objective, each extracted result bit-identical to the direct solve
+    #: (the splitting heuristics H1-H3; see :mod:`repro.solvers.frontier`)
     FRONTIER = "frontier"
 
 

@@ -75,6 +75,11 @@ class SolverSpec:
     provenance fields of its result are overwritten by the registry wrapper,
     so adapters never need to repeat name/family.
 
+    ``capabilities`` are the solver's :class:`~repro.solvers.base.Capability`
+    tags, its one declaration of platform classes and solve modes: e.g.
+    ``Capability.FRONTIER`` alone routes a solver's threshold groups
+    through :mod:`repro.solvers.frontier`.
+
     ``version`` is the solver's cache-invalidation tag: the solve cache
     (:mod:`repro.cache`) keys results by ``(instance, solver name, solver
     version, request)``, so a behavioural change — a bug fix, different
@@ -91,27 +96,12 @@ class SolverSpec:
     description: str = ""
     aliases: tuple[str, ...] = ()
     version: str = "1"
-    #: frontier-solve mode (see :mod:`repro.solvers.frontier`): ``"steps"``
-    #: for iterative heuristics whose trajectory is threshold-independent,
-    #: ``"monotone"`` for exact solvers whose result is constant over the
-    #: threshold segment above the achieved metric, ``None`` otherwise
-    frontier: str | None = None
 
     def __post_init__(self) -> None:
         if self.family not in SolverFamily.ALL:
             raise ConfigurationError(f"unknown solver family {self.family!r}")
         if self.objective not in Objective.ALL:
             raise ConfigurationError(f"unknown solver objective {self.objective!r}")
-        if self.frontier not in (None, "steps", "monotone"):
-            raise ConfigurationError(
-                f"unknown frontier mode {self.frontier!r}; "
-                "expected 'steps', 'monotone' or None"
-            )
-        if self.frontier is not None and Capability.FRONTIER not in self.capabilities:
-            raise ConfigurationError(
-                f"solver {self.name!r} declares frontier={self.frontier!r} "
-                "but not the Capability.FRONTIER tag"
-            )
 
 
 class Solver:
@@ -159,11 +149,6 @@ class Solver:
     def needs_budget(self) -> bool:
         """Whether the solver is anytime and requires a step/time budget."""
         return Capability.ANYTIME in self.spec.capabilities
-
-    @property
-    def frontier_mode(self) -> str | None:
-        """Frontier-solve mode (``"steps"`` / ``"monotone"`` / ``None``)."""
-        return self.spec.frontier
 
     def __repr__(self) -> str:
         return (

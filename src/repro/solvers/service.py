@@ -261,9 +261,8 @@ def solve_frontier_many(
     (:func:`~repro.solvers.frontier.frontier_eligible`) whose instance asks
     the same solver two or more distinct thresholds is answered by one
     :func:`~repro.solvers.frontier.frontier_solve` for the whole group —
-    one underlying solver run (steps mode) or one per uncovered segment
-    (monotone mode) instead of one per threshold.  Everything else runs
-    direct.  Every returned result is bit-identical (through
+    one underlying solver run instead of one per threshold.  Everything
+    else, the exact DPs included, runs direct.  Every returned result is bit-identical (through
     :meth:`~repro.solvers.base.SolveResult.identity`) to what the direct
     path produces, and both the per-threshold results and the frontier
     documents are memoised, so a warm cache serves *any* later threshold.

@@ -1,15 +1,16 @@
 """Hypothesis property suite of the frontier-solve layer.
 
 The frontier contract (:mod:`repro.solvers.frontier`): for every
-frontier-capable solver, one frontier run answers *any* threshold with a
-result **bit-identical** (``SolveResult.identity``) to solving that
+frontier-capable solver (H1-H3), one frontier run answers *any* threshold
+with a result **bit-identical** (``SolveResult.identity``) to solving that
 threshold directly — including thresholds below the infeasible knee, where
 the extracted result must report infeasibility exactly like the direct
 path.  This suite pins that contract on random instances from all eight
 scenario families, and cross-checks the extracted curves against the exact
 Pareto front (:func:`brute_force_pareto_front`) on instances small enough
-to enumerate: exact solvers must sit *on* the front, heuristics must never
-beat it, and extraction must walk the curve monotonically.
+to enumerate: heuristics must never beat it, and extraction must walk the
+curve monotonically.  The exact DPs, which answer each threshold with a
+direct solve, are held to the same front: their points must sit *on* it.
 """
 
 from __future__ import annotations
@@ -19,20 +20,15 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.costs import evaluate, optimal_latency_mapping, period_lower_bound
 from repro.exact.brute_force import brute_force_pareto_front
 from repro.scenarios.families import family_names, generate_scenarios
-from repro.solvers.base import Objective
 from repro.solvers.frontier import frontier_eligible, frontier_solve
 from repro.solvers.registry import get_solver
 
 ALL_FAMILIES = family_names()
 
-#: the frontier-capable registry solvers, by replay mode
-STEPS_SOLVERS = ("H1", "H2", "H3")
-MONOTONE_SOLVERS = (
-    "hom-dp-latency-for-period",
-    "hom-dp-period-for-latency",
-    "bitmask-dp-latency-for-period",
-)
-FRONTIER_SOLVERS = STEPS_SOLVERS + MONOTONE_SOLVERS
+#: the frontier-capable registry solvers
+FRONTIER_SOLVERS = ("H1", "H2", "H3")
+#: the exact DPs bounded by a period (checked through direct solves)
+EXACT_PERIOD_SOLVERS = ("hom-dp-latency-for-period", "bitmask-dp-latency-for-period")
 
 #: bitmask-DP size gate (matches the differential oracle's)
 _BM_MAX_STAGES, _BM_MAX_PROCS = 14, 8
@@ -59,24 +55,15 @@ def _applicable(name: str, app, platform) -> bool:
     return platform.is_communication_homogeneous
 
 
-def _anchors(app, platform) -> tuple[float, float, float]:
-    """(period lower bound, achievable period, optimal latency)."""
-    ev1 = evaluate(app, platform, optimal_latency_mapping(app, platform))
-    return period_lower_bound(app, platform), ev1.period, ev1.latency
-
-
-def _threshold_range(solver, app, platform) -> tuple[float, float]:
-    """A [lo, hi] span straddling the solver's infeasible knee."""
-    p_lb, period_hi, latency_opt = _anchors(app, platform)
-    if solver.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-        return 0.25 * p_lb, 1.25 * period_hi
-    return 0.5 * latency_opt, 1.5 * latency_opt
+def _threshold_range(app, platform) -> tuple[float, float]:
+    """A period span straddling the infeasible knee: from a quarter of the
+    period lower bound to past the period of the latency-optimal mapping."""
+    period_hi = evaluate(app, platform, optimal_latency_mapping(app, platform)).period
+    return 0.25 * period_lower_bound(app, platform), 1.25 * period_hi
 
 
 def _request(solver, threshold: float):
-    if solver.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-        return solver.default_request(period_bound=threshold)
-    return solver.default_request(latency_bound=threshold)
+    return solver.default_request(period_bound=threshold)
 
 
 def _thresholds(lo: float, hi: float, fractions) -> list[float]:
@@ -118,7 +105,7 @@ class TestExtractionIdentity:
         assume(names)
         for name in names:
             solver = get_solver(name)
-            lo, hi = _threshold_range(solver, app, platform)
+            lo, hi = _threshold_range(app, platform)
             _assert_extraction_identity(
                 solver, app, platform, _thresholds(lo, hi, fractions)
             )
@@ -136,7 +123,7 @@ class TestExtractionIdentity:
                     if not _applicable(name, app, platform):
                         continue
                     solver = get_solver(name)
-                    lo, hi = _threshold_range(solver, app, platform)
+                    lo, hi = _threshold_range(app, platform)
                     _assert_extraction_identity(
                         solver, app, platform,
                         _thresholds(lo, hi, (0.1, 0.5, 0.9, 1.3)),
@@ -160,87 +147,118 @@ class TestInfeasibleKnee:
         self, family, seed
     ):
         """A threshold below anything achievable: the extracted result must
-        carry the same feasibility flag — and, for the exact solvers, the
-        same infeasibility details — as the direct path."""
+        carry the same feasibility flag and details as the direct path."""
         scenario = generate_scenarios(1, family, seed=seed)[0]
         app, platform = scenario.application, scenario.platform
         names = [n for n in FRONTIER_SOLVERS if _applicable(n, app, platform)]
         assume(names)
-        p_lb, _, latency_opt = _anchors(app, platform)
+        below = max(0.25 * period_lower_bound(app, platform), 1e-6)
         for name in names:
             solver = get_solver(name)
-            if solver.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-                below = max(0.25 * p_lb, 1e-6)
-            else:
-                below = max(0.5 * latency_opt, 1e-6)
             _, (from_frontier,), _ = frontier_solve(
                 solver, app, platform, [below]
             )
             direct = solver.solve(app, platform, _request(solver, below))
             assert from_frontier.feasible == direct.feasible
             assert from_frontier.identity() == direct.identity()
-            if name in MONOTONE_SOLVERS and below < p_lb * (1 - _MARGIN):
-                # exact period solvers cannot beat the period lower bound
-                if solver.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-                    assert not from_frontier.feasible
+
+    @given(
+        family=st.sampled_from(ALL_FAMILIES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exact_solvers_cannot_beat_the_period_lower_bound(self, family, seed):
+        scenario = generate_scenarios(1, family, seed=seed)[0]
+        app, platform = scenario.application, scenario.platform
+        names = [n for n in EXACT_PERIOD_SOLVERS if _applicable(n, app, platform)]
+        assume(names)
+        p_lb = period_lower_bound(app, platform)
+        below = max(0.25 * p_lb, 1e-6)
+        assume(below < p_lb * (1 - _MARGIN))
+        for name in names:
+            solver = get_solver(name)
+            assert not solver.solve(app, platform, _request(solver, below)).feasible
+
+
+def _small_scenarios():
+    """Instances of every family small enough to enumerate exhaustively."""
+    for family in ALL_FAMILIES:
+        for seed in range(6):
+            scenario = generate_scenarios(1, family, seed=seed)[0]
+            app, platform = scenario.application, scenario.platform
+            if (
+                app.n_stages <= _BF_MAX_STAGES
+                and platform.n_processors <= _BF_MAX_PROCS
+            ):
+                yield app, platform
+
+
+def _check_curve(name, front, grid, results, *, exact: bool) -> int:
+    """Hold one solver's answers on a rising threshold grid to the exact
+    front; returns the number of feasible points checked."""
+    feasible = [r.feasible for r in results]
+    # feasibility is monotone in the threshold
+    assert feasible == sorted(feasible)
+    achieved = [r for r in results if r.feasible]
+    for a, b in zip(achieved, achieved[1:]):
+        # a looser threshold never forces a tighter period
+        assert a.period <= b.period * (1 + _REL)
+    n_checked = 0
+    for threshold, result in zip(grid, results):
+        if not result.feasible:
+            continue
+        assert result.period <= threshold * (1 + _REL)
+        best = min(
+            (
+                point.latency
+                for point in front
+                if point.period <= threshold * (1 + _MARGIN)
+            ),
+            default=None,
+        )
+        assert best is not None, (
+            f"{name}: feasible at {threshold!r} where the exact front has no point"
+        )
+        # never non-dominated *past* the optimal front
+        assert result.latency >= best * (1 - _LOOSE_REL)
+        if exact:
+            # the exact solvers' points lie on the front
+            assert result.latency <= best * (1 + _LOOSE_REL)
+        n_checked += 1
+    return n_checked
 
 
 class TestFrontierShape:
-    def _small_scenarios(self):
-        for family in ALL_FAMILIES:
-            for seed in range(6):
-                scenario = generate_scenarios(1, family, seed=seed)[0]
-                app, platform = scenario.application, scenario.platform
-                if (
-                    app.n_stages <= _BF_MAX_STAGES
-                    and platform.n_processors <= _BF_MAX_PROCS
-                ):
-                    yield app, platform
-
     def test_extracted_curves_are_monotone_and_never_beat_the_front(self):
         """Walking the threshold grid upward, extraction moves monotonically
-        along the recorded curve; against the exact Pareto front, heuristics
-        never win and the exact DPs sit on it."""
+        along the recorded curve, and never beats the exact Pareto front."""
         n_checked = 0
-        for app, platform in self._small_scenarios():
+        for app, platform in _small_scenarios():
             front = brute_force_pareto_front(app, platform)
-            names = [
-                n for n in FRONTIER_SOLVERS if _applicable(n, app, platform)
-            ]
-            for name in names:
-                solver = get_solver(name)
-                if solver.objective != Objective.MIN_LATENCY_FOR_PERIOD:
+            for name in FRONTIER_SOLVERS:
+                if not _applicable(name, app, platform):
                     continue
-                lo, hi = _threshold_range(solver, app, platform)
+                solver = get_solver(name)
+                lo, hi = _threshold_range(app, platform)
                 grid = _thresholds(lo, hi, [i / 9 for i in range(10)])
                 _, extracted, _ = frontier_solve(solver, app, platform, grid)
-                feasible = [r.feasible for r in extracted]
-                # feasibility is monotone in the threshold
-                assert feasible == sorted(feasible)
-                achieved = [r for r in extracted if r.feasible]
-                for a, b in zip(achieved, achieved[1:]):
-                    # a looser threshold never forces a tighter period
-                    assert a.period <= b.period * (1 + _REL)
-                for threshold, result in zip(grid, extracted):
-                    if not result.feasible:
-                        continue
-                    assert result.period <= threshold * (1 + _REL)
-                    best = min(
-                        (
-                            point.latency
-                            for point in front
-                            if point.period <= threshold * (1 + _MARGIN)
-                        ),
-                        default=None,
-                    )
-                    assert best is not None, (
-                        f"{name}: feasible at {threshold!r} where the exact "
-                        f"front has no point"
-                    )
-                    # never non-dominated *past* the optimal front
-                    assert result.latency >= best * (1 - _LOOSE_REL)
-                    if name in MONOTONE_SOLVERS:
-                        # the exact solvers' points lie on the front
-                        assert result.latency <= best * (1 + _LOOSE_REL)
-                    n_checked += 1
+                n_checked += _check_curve(name, front, grid, extracted, exact=False)
+        assert n_checked > 0
+
+    def test_exact_solvers_sit_on_the_front(self):
+        """The exact DPs, solved directly at every threshold of the grid,
+        move monotonically and land on the exact Pareto front."""
+        n_checked = 0
+        for app, platform in _small_scenarios():
+            front = brute_force_pareto_front(app, platform)
+            for name in EXACT_PERIOD_SOLVERS:
+                if not _applicable(name, app, platform):
+                    continue
+                solver = get_solver(name)
+                lo, hi = _threshold_range(app, platform)
+                grid = _thresholds(lo, hi, [i / 9 for i in range(10)])
+                direct = [
+                    solver.solve(app, platform, _request(solver, t)) for t in grid
+                ]
+                n_checked += _check_curve(name, front, grid, direct, exact=True)
         assert n_checked > 0

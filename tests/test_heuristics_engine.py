@@ -8,6 +8,9 @@ from repro.core.application import PipelineApplication
 from repro.core.costs import evaluate
 from repro.core.exceptions import InvalidPlatformError
 from repro.core.platform import Platform
+from repro.extensions.replication import evaluate_replicated, from_interval_mapping
+from repro.generators.experiments import experiment_config, generate_instances
+from repro.heuristics import get_heuristic
 from repro.heuristics.engine import SelectionRule, SplittingState
 from tests.conftest import random_instance
 
@@ -205,3 +208,33 @@ class TestRatioRule:
                 return max(cand.delta_latency / d for d in deltas)
 
             assert worst_ratio(ratio) <= worst_ratio(mono) + 1e-9
+
+
+class TestLatencySum:
+    @pytest.mark.parametrize("family", ["E1", "E2", "E3", "E4"])
+    def test_trajectory_latencies_equal_evaluate_bitwise(self, family):
+        """Every state of the H1-H3 trajectories reports the latency that
+        ``evaluate`` (and the replication extension) adds up, bit for bit:
+        all of them add eq. (2) left to right, which builtin ``sum()`` does
+        not from Python 3.12 on."""
+        config = experiment_config(family, 12, 10, n_instances=2)
+        n_states = 0
+        for inst in generate_instances(config, seed=7):
+            app, platform = inst.application, inst.platform
+            for key in ("H1", "H2", "H3"):
+                heuristic = get_heuristic(key)
+                state = SplittingState(app, platform)
+                while True:
+                    mapping = state.mapping()
+                    expected = evaluate(app, platform, mapping).latency
+                    assert state.latency == expected
+                    replicated = evaluate_replicated(
+                        app, platform, from_interval_mapping(mapping)
+                    )
+                    assert replicated.latency == expected
+                    n_states += 1
+                    candidate = heuristic._step_candidate(state)
+                    if candidate is None:
+                        break
+                    state.apply(candidate)
+        assert n_states > 2 * 3  # some trajectory split at least once

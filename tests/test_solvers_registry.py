@@ -112,6 +112,16 @@ class TestCapabilities:
         assert not ok
         assert "identical processor speeds" in reason
 
+    def test_frontier_capability_is_exactly_h1_to_h3(self):
+        """Only threshold-independent trajectories are frontier-routed; the
+        exact DPs answer each threshold with their own solve."""
+        frontier = {
+            solver.key
+            for solver in resolve_solvers("all")
+            if Capability.FRONTIER in solver.capabilities
+        }
+        assert frontier == {"H1", "H2", "H3"}
+
     def test_adhoc_wrapper_mirrors_registered_capabilities(self):
         """as_solver(H1 instance) must agree with get_solver('H1').supports."""
         from repro.extensions.heterogeneous_links import HeterogeneousSplittingPeriod
@@ -123,7 +133,6 @@ class TestCapabilities:
         assert wrapped.capabilities == (
             get_solver("H1").capabilities - {Capability.FRONTIER}
         )
-        assert wrapped.frontier_mode is None
         hetero_aware = as_solver(HeterogeneousSplittingPeriod())
         assert Capability.HETEROGENEOUS_LINKS in hetero_aware.capabilities
         assert Capability.COMM_HOMOGENEOUS_ONLY not in hetero_aware.capabilities
