@@ -215,8 +215,10 @@ serve-repeat:
 ## CI's frontier smoke slice: run one sweep per-threshold (--no-frontier),
 ## frontier-routed (--frontier) and frontier-routed on 2 workers, and assert
 ## the three stdout reports are byte-identical — the frontier layer may only
-## change the wall clock, and so may split tables (shared across the whole
-## batch when serial, per heuristic run in a pool worker)
+## change the wall clock, and so may split tables and trajectory tries
+## (shared across the whole batch when serial, built inside each pool
+## worker otherwise); a second, deeper panel (n=40, p=20) runs the tries
+## many splits deep
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
@@ -228,6 +230,15 @@ sweep-smoke:
 		> .sweep-smoke/pooled.txt
 	cmp .sweep-smoke/direct.txt .sweep-smoke/frontier.txt
 	cmp .sweep-smoke/frontier.txt .sweep-smoke/pooled.txt
+	$(PYTHON) -m repro.cli sweep --family E2 --stages 40 --processors 20 \
+		--instances 4 --thresholds 6 --no-frontier > .sweep-smoke/deep-direct.txt
+	$(PYTHON) -m repro.cli sweep --family E2 --stages 40 --processors 20 \
+		--instances 4 --thresholds 6 --frontier > .sweep-smoke/deep-frontier.txt
+	$(PYTHON) -m repro.cli sweep --family E2 --stages 40 --processors 20 \
+		--instances 4 --thresholds 6 --frontier --workers 2 \
+		> .sweep-smoke/deep-pooled.txt
+	cmp .sweep-smoke/deep-direct.txt .sweep-smoke/deep-frontier.txt
+	cmp .sweep-smoke/deep-frontier.txt .sweep-smoke/deep-pooled.txt
 	rm -rf .sweep-smoke
 
 ## one parallel figure panel end to end (smoke test of the --workers path)

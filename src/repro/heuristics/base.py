@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from ..core.application import PipelineApplication
-from ..core.costs import evaluate
+from ..core.costs import MappingEvaluation, evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
 from ..core.tables import instance_tables
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import TrajectoryNode
 
 __all__ = [
     "Objective",
@@ -128,7 +131,7 @@ class PipelineHeuristic(abc.ABC):
         Exactly one of ``period_bound`` / ``latency_bound`` must be provided,
         matching the heuristic's :attr:`objective`.  The run opens (or joins)
         an :func:`~repro.core.tables.instance_tables` scope, so repeated
-        passes — H4's bisection — rank each split once.
+        passes — H4's bisection — walk each trajectory state once.
         """
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
             if period_bound is None or latency_bound is not None:
@@ -167,9 +170,16 @@ class PipelineHeuristic(abc.ABC):
         mapping: IntervalMapping,
         bound: float,
         n_splits: int,
-        history: list[tuple[float, float]],
+        history: Sequence[tuple[float, float]],
+        evaluation: MappingEvaluation | None = None,
     ) -> HeuristicResult:
-        ev = evaluate(app, platform, mapping)
+        """The result of ending at ``mapping`` under ``bound``.
+
+        ``evaluation`` is :func:`~repro.core.costs.evaluate` of ``mapping``
+        when the caller already holds it (a trajectory node, a frontier
+        iterate); it is computed here otherwise.
+        """
+        ev = evaluate(app, platform, mapping) if evaluation is None else evaluation
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
             feasible = reached(ev.period, bound)
         else:
@@ -184,6 +194,19 @@ class PipelineHeuristic(abc.ABC):
             objective=self.objective,
             n_splits=n_splits,
             history=tuple(history),
+        )
+
+    def _node_result(
+        self,
+        app: PipelineApplication,
+        platform: Platform,
+        node: "TrajectoryNode",
+        bound: float,
+    ) -> HeuristicResult:
+        """The result of a trajectory walk that ended at ``node``."""
+        return self._make_result(
+            app, platform, node.mapping(), bound, node.depth, node.history,
+            node.evaluation(),
         )
 
     def __repr__(self) -> str:

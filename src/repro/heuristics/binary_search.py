@@ -12,6 +12,11 @@ is returned.
 The paper does not specify the upper bound of the search; we use the latency
 obtained by an unconstrained pass (infinite authorised latency), which is
 feasible whenever any pass can be.
+
+Every pass is a walk down the instance's bi-criteria trajectory trie
+(:func:`~repro.heuristics.engine.trajectory`): the passes of one run, and
+the runs at other thresholds in the same scope, share every state they
+have in common, so each distinct split is applied once.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import ClassVar
 
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
-from .base import FixedPeriodHeuristic, HeuristicResult, reached
-from .engine import SelectionRule, SplittingState
+from .base import FixedPeriodHeuristic, HeuristicResult, reached, stop_limit
+from .engine import SelectionRule, TrajectoryNode, trajectory
 
 __all__ = ["SplittingBiPeriod"]
 
@@ -37,68 +42,46 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
     #: stop the bisection once the latency window is this small (relative)
     search_rel_tol: ClassVar[float] = 1e-4
 
+    @staticmethod
     def _splitting_pass(
-        self,
-        app: PipelineApplication,
-        platform: Platform,
-        period_bound: float,
-        authorized_latency: float | None,
-    ) -> tuple[SplittingState, int, list[tuple[float, float]]]:
-        """One splitting pass under a latency cap (``None`` = unconstrained)."""
-        state = SplittingState(app, platform)
-        history = [state.point()]
-        n_splits = 0
-        while not reached(state.period, period_bound):
-            unused = state.next_unused(1)
-            if not unused:
+        root: TrajectoryNode, period_bound: float, authorized_latency: float | None
+    ) -> TrajectoryNode:
+        """One splitting pass under a latency cap (``None`` = unconstrained).
+
+        Splits until the period reaches ``period_bound`` or the walk stalls,
+        and returns the state it ends at.
+        """
+        limit = None if authorized_latency is None else stop_limit(authorized_latency)
+        node = root
+        while not reached(node.period, period_bound):
+            child = node.child(limit)
+            if child is None:
                 break
-            j = state.bottleneck_index
-            candidate = state.best_two_way_split(
-                j,
-                unused[0],
-                rule=SelectionRule.RATIO,
-                latency_cap=authorized_latency,
-                require_improvement=True,
-            )
-            if candidate is None:
-                break
-            state.apply(candidate)
-            n_splits += 1
-            history.append(state.point())
-        return state, n_splits, history
+            node = child
+        return node
 
     def _solve(
         self, app: PipelineApplication, platform: Platform, bound: float
     ) -> HeuristicResult:
+        root = trajectory(app, platform, SelectionRule.RATIO)
         # Unconstrained pass: establishes feasibility and the upper bound of
         # the binary search on the authorised latency.
-        state, n_splits, history = self._splitting_pass(app, platform, bound, None)
-        if not reached(state.period, bound):
+        best = self._splitting_pass(root, bound, None)
+        if not reached(best.period, bound):
             # the prescribed period cannot be reached even without a latency cap
-            return self._make_result(
-                app, platform, state.mapping(), bound, n_splits, history
-            )
+            return self._node_result(app, platform, best, bound)
 
-        best_state, best_splits, best_history = state, n_splits, history
-        lo = SplittingState(app, platform).latency  # optimal latency (Lemma 1)
-        hi = state.latency
+        lo = root.latency  # optimal latency (Lemma 1)
+        hi = best.latency
         for _ in range(self.n_search_iterations):
             if hi - lo <= self.search_rel_tol * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            trial_state, trial_splits, trial_history = self._splitting_pass(
-                app, platform, bound, mid
-            )
-            if reached(trial_state.period, bound):
+            trial = self._splitting_pass(root, bound, mid)
+            if reached(trial.period, bound):
                 hi = mid
-                if trial_state.latency < best_state.latency - 1e-12:
-                    best_state, best_splits, best_history = (
-                        trial_state,
-                        trial_splits,
-                        trial_history,
-                    )
+                if trial.latency < best.latency - 1e-12:
+                    best = trial
             else:
                 lo = mid
-        return self._make_result(
-            app, platform, best_state.mapping(), bound, best_splits, best_history
-        )
+        return self._node_result(app, platform, best, bound)

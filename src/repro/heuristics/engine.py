@@ -16,25 +16,41 @@ contribution per interval) and evaluates *all* candidate cuts of a step with
 vectorised NumPy computations, which keeps the experiment harness (hundreds of
 thousands of heuristic runs for the figures) fast.
 
-**Split tables.**  H4's latency bisection re-runs the same splitting loop up
-to 26 times, and a sweep runs H1/H4–H6 at every threshold, so the same
-two-way splits are asked for over and over under different latency caps.
-The cap is only a filter: the first query of a split key ranks every
-candidate that passes the improvement test, once (score, largest new cycle
-time, new latency, orientation, cut), and every later query — whatever its
-cap — returns the first ranked candidate whose new latency is within the
-cap.  The key is the split geometry (interval bounds, current and new
-processor, rule, improvement flag) plus the three state floats the ranking
-is computed from (the interval's cycle time, the current latency, and the
+**Split tables.**  H1 and the ablation heuristics ask for the same two-way
+splits over and over, and the trajectory tries below rank every state they
+reach.  The first query of a split key ranks every candidate that passes
+the improvement test, once (score, largest new cycle time, new latency,
+orientation, cut), and every later query — whatever its latency cap —
+returns the first ranked candidate whose new latency is within the cap.
+The key is the split geometry (interval bounds, current and new processor,
+rule, improvement flag) plus the three state floats the ranking is
+computed from (the interval's cycle time, the current latency, and the
 latency without the interval), so a hit is bit-identical to re-ranking.
-The rankings live in the instance's entry of an
+
+**Trajectory tries.**  H4's latency bisection runs up to 26 splitting
+passes per threshold, and a sweep runs H4–H6 at every threshold, so the
+same split paths were replayed from scratch again and again.  A latency
+cap reaches the selection only through the ranking index it picks
+(:meth:`_Ranking.index`), so from a given state the next split depends on
+that index alone.  :func:`trajectory` hands out the root of one trie per
+(instance, selection rule): a :class:`TrajectoryNode` is the immutable
+state after ``k`` splits, its children are keyed by the ranking index,
+and its ranking and children are built on first visit.  Every H5/H6
+threshold, H4's unconstrained pass and every H4 bisection probe walk the
+same nodes; only the stop tests stay per query.  Each node also memoises
+the :func:`~repro.core.costs.evaluate` of its mapping that the final
+result is built from.  The nodes reference neither their parent nor the
+table entry that holds the trie, so the trie is cycle-free and is freed
+with its scope.
+
+Rankings and tries live in the instance's entry of an
 :func:`~repro.core.tables.instance_tables` scope, keyed by the
 (application, platform) object pair: :meth:`PipelineHeuristic.run
 <repro.heuristics.base.PipelineHeuristic.run>` opens one per run, the batch
 service opens one around each in-process dispatch and the differential
 oracle one per instance, so every threshold and heuristic of an instance
-shares its rankings until the call returns.  They are never attached to
-the instance objects and never part of an identity or cache key.
+shares them until the call returns.  They are never attached to the
+instance objects and never part of an identity or cache key.
 
 The engine assumes a communication-homogeneous platform, as in the paper; the
 fully heterogeneous extension lives in :mod:`repro.extensions`.
@@ -49,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.application import PipelineApplication
-from ..core.costs import interval_time_components
+from ..core.costs import MappingEvaluation, evaluate, interval_time_components
 from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
@@ -60,6 +76,8 @@ __all__ = [
     "SelectionRule",
     "SplitCandidate",
     "SplittingState",
+    "TrajectoryNode",
+    "trajectory",
 ]
 
 _EPS = 1e-12
@@ -197,6 +215,15 @@ class _Ranking:
         self._local_max, self._new_latency, self._score = local_max, new_latency, score
         self._entries: dict[int, tuple] = {}
 
+    def index(self, limit: float | None) -> int:
+        """Rank of the best candidate whose new latency is at most ``limit``.
+
+        0 without a limit; ``neg_floor.size`` when no candidate qualifies.
+        """
+        if limit is None:
+            return 0
+        return int(np.searchsorted(self.neg_floor, -limit))
+
     def entry(self, i: int) -> tuple:
         """Fields of the ``i``-th ranked candidate (built once, then reused).
 
@@ -222,6 +249,112 @@ class _Ranking:
         return found
 
 
+class _Instance:
+    """The constants of one (application, platform) pair the engine reads.
+
+    Holds no reference to a state, a trajectory or a table, so the tables
+    and tries that keep it cannot form a reference cycle through it.
+    """
+
+    __slots__ = ("app", "platform", "n", "b", "b_in", "b_out", "speeds", "comm", "prefix", "tail")
+
+    def __init__(self, app: PipelineApplication, platform: Platform) -> None:
+        if not platform.is_communication_homogeneous:
+            raise InvalidPlatformError(
+                "the Section 4 heuristics target communication-homogeneous "
+                "platforms; use repro.extensions for heterogeneous links"
+            )
+        self.app = app
+        self.platform = platform
+        self.n = app.n_stages
+        self.b = platform.uniform_bandwidth
+        self.b_in = platform.input_bandwidth
+        self.b_out = platform.output_bandwidth
+        self.speeds = platform.speeds
+        self.comm = app.comm_sizes
+        self.prefix = app.work_prefix
+        self.tail = float(self.comm[self.n]) / self.b_out
+
+    def part_times(
+        self,
+        starts: np.ndarray | int,
+        ends: np.ndarray | int,
+        speed: float = 1.0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(input, compute, output) times of candidate parts, via the shared kernel.
+
+        Thin wrapper over :func:`repro.core.costs.interval_time_components`
+        with the platform constants bound; the candidate generators call it
+        with ``speed=1.0`` to get raw work sums they then divide by each
+        processor speed under consideration.
+        """
+        return interval_time_components(
+            self.prefix,
+            self.comm,
+            starts,
+            ends,
+            speed,
+            bandwidth=self.b,
+            input_bandwidth=self.b_in,
+            output_bandwidth=self.b_out,
+            n_stages=self.n,
+        )
+
+    def interval_metrics(self, d: int, e: int, proc: int) -> tuple[float, float]:
+        """Cycle time and latency contribution of interval ``[d, e]`` on ``proc``."""
+        input_time, work_time, output_time = self.part_times(d, e, float(self.speeds[proc]))
+        return float(input_time + work_time + output_time), float(input_time + work_time)
+
+
+def _two_way_ranking(
+    inst: _Instance,
+    rankings: dict[tuple, _Ranking],
+    d: int,
+    e: int,
+    proc_j: int,
+    new_proc: int,
+    rule: str,
+    require_improvement: bool,
+    old_cycle: float,
+    old_latency: float,
+    base_latency: float,
+) -> _Ranking:
+    """The ranking of splitting ``[d, e]`` between ``proc_j`` and ``new_proc``.
+
+    Looked up in (or added to) ``rankings`` under the split key: the
+    geometry plus the three state floats the ranking is computed from.
+    """
+    key = (
+        d, e, proc_j, new_proc, rule, require_improvement,
+        old_cycle, old_latency, base_latency,
+    )
+    ranking = rankings.get(key)
+    if ranking is None:
+        s_j = float(inst.speeds[proc_j])
+        s_q = float(inst.speeds[new_proc])
+        cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
+        # raw (input, work, output) times of both parts via the shared
+        # kernel (speed=1.0 keeps the work sums undivided; ``mid`` is the
+        # boundary communication, part-1 output and part-2 input alike)
+        in1, w1, mid = inst.part_times(np.full_like(cuts, d), cuts)
+        _, w2, out2 = inst.part_times(cuts + 1, np.full_like(cuts, e))
+        processors, cycles, contribs = [], [], []
+        for first_speed, second_speed, procs in (
+            (s_j, s_q, (proc_j, new_proc)),
+            (s_q, s_j, (new_proc, proc_j)),
+        ):
+            contrib1 = in1 + w1 / first_speed
+            contrib2 = mid + w2 / second_speed
+            processors.append(procs)
+            cycles.append((contrib1 + mid, contrib2 + out2))
+            contribs.append((contrib1, contrib2))
+        ranking = rankings[key] = _Ranking(
+            d, e, cuts[np.newaxis, :], processors, cycles, contribs,
+            rule, old_cycle, old_latency, base_latency, require_improvement,
+        )
+    return ranking
+
+
 class SplittingState:
     """Mutable mapping state shared by the splitting/exploration heuristics."""
 
@@ -237,22 +370,10 @@ class SplittingState:
         consumed (default: non-increasing speed, as in the paper); it is used
         by the ablation study to quantify how much the speed sort matters.
         """
-        if not platform.is_communication_homogeneous:
-            raise InvalidPlatformError(
-                "the Section 4 heuristics target communication-homogeneous "
-                "platforms; use repro.extensions for heterogeneous links"
-            )
+        inst = self._inst = _Instance(app, platform)
         self.app = app
         self.platform = platform
-        self._n = app.n_stages
-        self._b = platform.uniform_bandwidth
-        self._b_in = platform.input_bandwidth
-        self._b_out = platform.output_bandwidth
-        self._speeds = platform.speeds
-        self._comm = app.comm_sizes
-        self._prefix = app.work_prefix
-        self._tail = float(self._comm[self._n]) / self._b_out
-
+        self._speeds = inst.speeds
         if processor_order is None:
             order = platform.processors_by_speed(descending=True)
         else:
@@ -264,21 +385,13 @@ class SplittingState:
                     "processor_order must list distinct valid processor indices"
                 )
         fastest = order[0]
-        self.intervals: list[Interval] = [Interval(0, self._n - 1)]
+        self.intervals: list[Interval] = [Interval(0, inst.n - 1)]
         self.processors: list[int] = [fastest]
         self._unused: list[int] = list(order[1:])
-        cycle, contrib = self._interval_metrics(0, self._n - 1, fastest)
+        cycle, contrib = inst.interval_metrics(0, inst.n - 1, fastest)
         self._cycles: list[float] = [cycle]
         self._contribs: list[float] = [contrib]
         self._tables = tables_for(app, platform)
-
-    # ------------------------------------------------------------------ #
-    # metric helpers
-    # ------------------------------------------------------------------ #
-    def _interval_metrics(self, d: int, e: int, proc: int) -> tuple[float, float]:
-        """Cycle time and latency contribution of interval ``[d, e]`` on ``proc``."""
-        input_time, work_time, output_time = self._part_times(d, e, float(self._speeds[proc]))
-        return float(input_time + work_time + output_time), float(input_time + work_time)
 
     def _part_times(
         self,
@@ -286,24 +399,8 @@ class SplittingState:
         ends: np.ndarray | int,
         speed: float = 1.0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(input, compute, output) times of candidate parts, via the shared kernel.
-
-        Thin wrapper over :func:`repro.core.costs.interval_time_components`
-        with this state's platform constants bound; the candidate generators
-        call it with ``speed=1.0`` to get raw work sums they then divide by
-        each processor speed under consideration.
-        """
-        return interval_time_components(
-            self._prefix,
-            self._comm,
-            starts,
-            ends,
-            speed,
-            bandwidth=self._b,
-            input_bandwidth=self._b_in,
-            output_bandwidth=self._b_out,
-            n_stages=self._n,
-        )
+        """(input, compute, output) times of candidate parts (see :meth:`_Instance.part_times`)."""
+        return self._inst.part_times(starts, ends, speed)
 
     # ------------------------------------------------------------------ #
     # state queries
@@ -320,7 +417,7 @@ class SplittingState:
     @property
     def latency(self) -> float:
         """Current latency (sum of contributions plus final output)."""
-        return _added(self._contribs) + self._tail
+        return _added(self._contribs) + self._inst.tail
 
     @property
     def bottleneck_index(self) -> int:
@@ -355,17 +452,13 @@ class SplittingState:
         )
 
     def _base_latency_without(self, j: int) -> float:
-        return _added(self._contribs) - self._contribs[j] + self._tail
+        return _added(self._contribs) - self._contribs[j] + self._inst.tail
 
     def _pick(
         self, ranking: _Ranking, j: int, latency_cap: float | None
     ) -> SplitCandidate | None:
         """The best ranked candidate whose new latency is within ``latency_cap``."""
-        if latency_cap is None:
-            i = 0
-        else:
-            cap = stop_limit(latency_cap)
-            i = int(np.searchsorted(ranking.neg_floor, -cap))
+        i = ranking.index(None if latency_cap is None else stop_limit(latency_cap))
         if i >= ranking.neg_floor.size:
             return None
         intervals, procs, cycles, contribs, local_max, new_latency, score = (
@@ -406,38 +499,11 @@ class SplittingState:
         d, e = iv.start, iv.end
         if e == d:
             return None
-        proc_j = self.processors[j]
-        old_cycle = self._cycles[j]
-        old_latency = self.latency
-        base_latency = self._base_latency_without(j)
-        key = (
-            d, e, proc_j, new_proc, rule, require_improvement,
-            old_cycle, old_latency, base_latency,
+        ranking = _two_way_ranking(
+            self._inst, self._tables.split_rankings, d, e, self.processors[j],
+            new_proc, rule, require_improvement, self._cycles[j], self.latency,
+            self._base_latency_without(j),
         )
-        ranking = self._tables.split_rankings.get(key)
-        if ranking is None:
-            s_j = float(self._speeds[proc_j])
-            s_q = float(self._speeds[new_proc])
-            cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
-            # raw (input, work, output) times of both parts via the shared
-            # kernel (speed=1.0 keeps the work sums undivided; ``mid`` is the
-            # boundary communication, part-1 output and part-2 input alike)
-            in1, w1, mid = self._part_times(np.full_like(cuts, d), cuts)
-            _, w2, out2 = self._part_times(cuts + 1, np.full_like(cuts, e))
-            processors, cycles, contribs = [], [], []
-            for first_speed, second_speed, procs in (
-                (s_j, s_q, (proc_j, new_proc)),
-                (s_q, s_j, (new_proc, proc_j)),
-            ):
-                contrib1 = in1 + w1 / first_speed
-                contrib2 = mid + w2 / second_speed
-                processors.append(procs)
-                cycles.append((contrib1 + mid, contrib2 + out2))
-                contribs.append((contrib1, contrib2))
-            ranking = self._tables.split_rankings[key] = _Ranking(
-                d, e, cuts[np.newaxis, :], processors, cycles, contribs,
-                rule, old_cycle, old_latency, base_latency, require_improvement,
-            )
         return self._pick(ranking, j, latency_cap)
 
     def best_three_way_split(
@@ -508,3 +574,164 @@ class SplittingState:
         self._contribs[j : j + 1] = list(candidate.new_contributions)
         used = set(candidate.new_processors)
         self._unused = [u for u in self._unused if u not in used]
+
+
+class _Trie:
+    """What the nodes of one trajectory trie share.
+
+    The instance constants, the selection rule, and the instance's split
+    rankings (the dict of its :class:`~repro.core.tables.InstanceTables`,
+    not the entry itself, so no node reaches back to the entry that holds
+    the trie).
+    """
+
+    __slots__ = ("inst", "rule", "rankings")
+
+    def __init__(self, inst: _Instance, rule: str, rankings: dict[tuple, _Ranking]) -> None:
+        self.inst = inst
+        self.rule = rule
+        self.rankings = rankings
+
+
+class TrajectoryNode:
+    """One state of a splitting trajectory, shared by every walk through it.
+
+    A node is the state after ``depth`` splits of the bottleneck interval:
+    intervals, processors, cycle times, latency contributions, unused
+    processors (fastest first), the engine's ``(period, latency)`` point and
+    the history of points since the initial mapping.  It never changes once
+    built.  Its split ranking (the bottleneck interval split with the next
+    unused processor, improvement required) and its children are built on
+    first visit.  A latency limit reaches the selection only through the
+    ranking index :meth:`_Ranking.index` returns, so the children are keyed
+    by that index: every walk that picks the same index from this state
+    shares the child.
+
+    Nodes hold no parent and no :class:`~repro.core.tables.InstanceTables`
+    entry, so the trie is cycle-free and is freed as soon as its scope
+    drops the entry.
+    """
+
+    __slots__ = (
+        "intervals", "processors", "cycles", "contribs", "unused",
+        "period", "latency", "history",
+        "_trie", "_split", "_children", "_mapping", "_evaluation", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        trie: _Trie,
+        intervals: tuple[Interval, ...],
+        processors: tuple[int, ...],
+        cycles: tuple[float, ...],
+        contribs: tuple[float, ...],
+        unused: tuple[int, ...],
+        history: tuple[tuple[float, float], ...],
+    ) -> None:
+        self._trie = trie
+        self.intervals = intervals
+        self.processors = processors
+        self.cycles = cycles
+        self.contribs = contribs
+        self.unused = unused
+        self.period = max(cycles)
+        self.latency = _added(contribs) + trie.inst.tail
+        self.history = history + ((self.period, self.latency),)
+        #: ``(bottleneck index, ranking)``; ``False`` when stalled, ``None`` unvisited
+        self._split: tuple[int, _Ranking] | bool | None = None
+        self._children: dict[int, TrajectoryNode] = {}
+        self._mapping: IntervalMapping | None = None
+        self._evaluation: MappingEvaluation | None = None
+
+    @property
+    def depth(self) -> int:
+        """Number of splits applied since the initial mapping."""
+        return len(self.history) - 1
+
+    def child(self, limit: float | None) -> "TrajectoryNode | None":
+        """The state after the next split whose new latency is at most ``limit``.
+
+        ``limit`` is a :func:`~repro.heuristics.base.stop_limit` value, or
+        ``None`` for no latency cap.  ``None`` is returned when the walk
+        stalls: no unused processor, a single-stage bottleneck, or no
+        improving split within the limit.
+        """
+        split = self._split
+        if split is None:
+            split = self._split = self._rank()
+        if split is False:
+            return None
+        j, ranking = split
+        i = ranking.index(limit)
+        if i >= ranking.neg_floor.size:
+            return None
+        found = self._children.get(i)
+        if found is None:
+            found = self._children[i] = self._apply(j, ranking.entry(i))
+        return found
+
+    def _rank(self) -> tuple[int, _Ranking] | bool:
+        if not self.unused:
+            return False
+        j = int(np.argmax(self.cycles))
+        iv = self.intervals[j]
+        if iv.start == iv.end:
+            return False
+        trie = self._trie
+        contribs = self.contribs
+        base_latency = _added(contribs) - contribs[j] + trie.inst.tail
+        return j, _two_way_ranking(
+            trie.inst, trie.rankings, iv.start, iv.end, self.processors[j],
+            self.unused[0], trie.rule, True, self.cycles[j], self.latency,
+            base_latency,
+        )
+
+    def _apply(self, j: int, entry: tuple) -> "TrajectoryNode":
+        intervals, procs, cycles, contribs = entry[:4]
+        used = set(procs)
+        return TrajectoryNode(
+            self._trie,
+            self.intervals[:j] + intervals + self.intervals[j + 1:],
+            self.processors[:j] + procs + self.processors[j + 1:],
+            self.cycles[:j] + cycles + self.cycles[j + 1:],
+            self.contribs[:j] + contribs + self.contribs[j + 1:],
+            tuple(u for u in self.unused if u not in used),
+            self.history,
+        )
+
+    def mapping(self) -> IntervalMapping:
+        """The node's mapping (built once)."""
+        if self._mapping is None:
+            self._mapping = IntervalMapping(self.intervals, self.processors)
+        return self._mapping
+
+    def evaluation(self) -> MappingEvaluation:
+        """:func:`~repro.core.costs.evaluate` of the node's mapping (computed once)."""
+        if self._evaluation is None:
+            inst = self._trie.inst
+            self._evaluation = evaluate(inst.app, inst.platform, self.mapping())
+        return self._evaluation
+
+
+def trajectory(
+    app: PipelineApplication, platform: Platform, rule: str
+) -> TrajectoryNode:
+    """The root of the instance's trajectory trie under selection ``rule``.
+
+    The root is the initial mapping (the whole pipeline on the fastest
+    processor).  It lives in the instance's
+    :class:`~repro.core.tables.InstanceTables` entry, so every walk in one
+    :func:`~repro.core.tables.instance_tables` scope shares its nodes.
+    """
+    tables = tables_for(app, platform)
+    root = tables.trajectories.get(rule)
+    if root is None:
+        inst = _Instance(app, platform)
+        order = platform.processors_by_speed(descending=True)
+        cycle, contrib = inst.interval_metrics(0, inst.n - 1, order[0])
+        root = tables.trajectories[rule] = TrajectoryNode(
+            _Trie(inst, rule, tables.split_rankings),
+            (Interval(0, inst.n - 1),), (order[0],), (cycle,), (contrib,),
+            tuple(order[1:]), (),
+        )
+    return root

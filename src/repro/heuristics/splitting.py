@@ -20,8 +20,14 @@ from typing import ClassVar
 
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
-from .base import FixedLatencyHeuristic, FixedPeriodHeuristic, HeuristicResult, reached
-from .engine import SelectionRule, SplitCandidate, SplittingState
+from .base import (
+    FixedLatencyHeuristic,
+    FixedPeriodHeuristic,
+    HeuristicResult,
+    reached,
+    stop_limit,
+)
+from .engine import SelectionRule, SplitCandidate, SplittingState, trajectory
 
 __all__ = ["SplittingMonoPeriod", "SplittingMonoLatency", "SplittingBiLatency"]
 
@@ -65,37 +71,30 @@ class SplittingMonoPeriod(FixedPeriodHeuristic):
 
 
 class _FixedLatencySplitting(FixedLatencyHeuristic):
-    """Common loop of the fixed-latency splitting heuristics (H5 / H6)."""
+    """Common loop of the fixed-latency splitting heuristics (H5 / H6).
+
+    The loop is a walk down the instance's trajectory trie under
+    :attr:`rule` (:func:`~repro.heuristics.engine.trajectory`), with the
+    bound as the latency cap of every split: runs at other bounds in the
+    same scope share every state they have in common.
+    """
 
     rule: ClassVar[str] = SelectionRule.MONO
 
     def _solve(
         self, app: PipelineApplication, platform: Platform, bound: float
     ) -> HeuristicResult:
-        state = SplittingState(app, platform)
-        history = [state.point()]
-        n_splits = 0
+        node = trajectory(app, platform, self.rule)
         # If even the latency-optimal initial mapping exceeds the bound, the
-        # run is infeasible; the loop below can only keep latency <= bound.
-        if reached(state.latency, bound):
+        # run is infeasible; the walk below can only keep latency <= bound.
+        if reached(node.latency, bound):
+            limit = stop_limit(bound)
             while True:
-                unused = state.next_unused(1)
-                if not unused:
+                child = node.child(limit)
+                if child is None:
                     break
-                j = state.bottleneck_index
-                candidate = state.best_two_way_split(
-                    j,
-                    unused[0],
-                    rule=self.rule,
-                    latency_cap=bound,
-                    require_improvement=True,
-                )
-                if candidate is None:
-                    break
-                state.apply(candidate)
-                n_splits += 1
-                history.append(state.point())
-        return self._make_result(app, platform, state.mapping(), bound, n_splits, history)
+                node = child
+        return self._node_result(app, platform, node, bound)
 
 
 class SplittingMonoLatency(_FixedLatencySplitting):

@@ -18,8 +18,9 @@ iterate ``(period, latency, mapping)``; a query at threshold ``t`` replays
 the stop predicate over the recorded engine periods (binary search — the
 periods are non-increasing) and rebuilds the result from the selected
 iterate with the heuristic's own ``_make_result``, reproducing the direct
-run exactly.  Every other solver, the exact DPs included, answers each
-threshold with its own direct solve.
+run exactly; the thresholds of one batch that stop at the same iterate
+share its decoded mapping and evaluation.  Every other solver, the exact
+DPs included, answers each threshold with its own direct solve.
 
 The documents are JSON-safe dictionaries, so the cache layer
 (:mod:`repro.cache`) stores them as content-addressed blobs under a
@@ -29,9 +30,10 @@ serves *any* threshold.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..core import kernels
+from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.serialization import mapping_from_dict, mapping_to_dict
 from ..heuristics.base import stop_limit
@@ -46,7 +48,6 @@ __all__ = [
     "FRONTIER_SCHEMA",
     "frontier_eligible",
     "compute_steps_frontier",
-    "extract_result",
     "frontier_solve",
 ]
 
@@ -158,26 +159,47 @@ def _first_reaching(iterates: list[dict], limit: float) -> int:
     return lo if lo < len(iterates) else len(iterates) - 1
 
 
-def _extract_steps(
+def _steps_answerer(
     solver: "Solver",
     app: "PipelineApplication",
     platform: "Platform",
     document: dict[str, Any],
-    threshold: float,
-) -> SolveResult:
-    """Replay the direct run's stop test over the recorded trajectory."""
+) -> Callable[[float], SolveResult]:
+    """Threshold queries over a current document, each iterate built once.
+
+    A query replays the direct run's stop test over the recorded trajectory
+    and rebuilds the result from the selected iterate with the heuristic's
+    own ``_make_result``.  The iterate's decoded mapping, its
+    :func:`~repro.core.costs.evaluate` and its history are memoised, so
+    thresholds that stop at the same iterate share one evaluation.
+    """
     heuristic = _steps_heuristic(solver)
-    thr = float(threshold)
     iterates = document["iterates"]
-    idx = _first_reaching(iterates, stop_limit(thr))
-    mapping = mapping_from_dict(iterates[idx]["mapping"])
-    history = [
-        (float(it["period"]), float(it["latency"])) for it in iterates[: idx + 1]
-    ]
-    heuristic_result = heuristic._make_result(
-        app, platform, mapping, thr, idx, history
-    )
-    return SolveResult.from_heuristic(heuristic_result, solver=heuristic.name)
+    backend = kernels.active_backend()
+    built: dict[int, tuple] = {}
+
+    def answer(threshold: float) -> SolveResult:
+        thr = float(threshold)
+        idx = _first_reaching(iterates, stop_limit(thr))
+        found = built.get(idx)
+        if found is None:
+            mapping = mapping_from_dict(iterates[idx]["mapping"])
+            history = [
+                (float(it["period"]), float(it["latency"]))
+                for it in iterates[: idx + 1]
+            ]
+            found = built[idx] = (mapping, history, evaluate(app, platform, mapping))
+        mapping, history, evaluation = found
+        heuristic_result = heuristic._make_result(
+            app, platform, mapping, thr, idx, history, evaluation
+        )
+        return SolveResult.from_heuristic(
+            heuristic_result, solver=heuristic.name
+        ).stamped(
+            solver=solver.name, family=solver.family, wall_time=0.0, backend=backend
+        )
+
+    return answer
 
 
 # --------------------------------------------------------------------------- #
@@ -190,30 +212,6 @@ def _document_valid(document: Any, solver: "Solver") -> bool:
         and document.get("mode") == "steps"
         and document.get("solver") == solver.name
         and document.get("solver_version") == solver.version
-    )
-
-
-def extract_result(
-    solver: "Solver",
-    app: "PipelineApplication",
-    platform: "Platform",
-    document: dict[str, Any],
-    threshold: float,
-) -> SolveResult | None:
-    """Answer one threshold query out of a frontier document.
-
-    Returns a result bit-identical (per ``identity()``) to the direct
-    per-threshold solve, stamped with this process's provenance, or
-    ``None`` when the document is not a current one of ``solver``.
-    """
-    if not _document_valid(document, solver):
-        return None
-    raw = _extract_steps(solver, app, platform, document, threshold)
-    return raw.stamped(
-        solver=solver.name,
-        family=solver.family,
-        wall_time=0.0,
-        backend=kernels.active_backend(),
     )
 
 
@@ -230,7 +228,8 @@ def frontier_solve(
     aligned to ``thresholds``.  ``document`` may be a warm document from
     the cache (read only; a stale or foreign one is recomputed);
     ``n_direct_solves`` counts the underlying full solver runs this call
-    actually performed (1 for a cold trajectory, 0 for a warm one).
+    actually performed (1 for a cold trajectory, 0 for a warm one).  Each
+    distinct iterate the thresholds stop at is decoded and evaluated once.
     """
     if Capability.FRONTIER not in solver.capabilities:
         raise ConfigurationError(
@@ -240,8 +239,6 @@ def frontier_solve(
     if document is None or not _document_valid(document, solver):
         document = compute_steps_frontier(solver, app, platform)
         n_solves = 1
-    results = {
-        float(t): extract_result(solver, app, platform, document, t)
-        for t in dict.fromkeys(float(t) for t in thresholds)
-    }
+    answer = _steps_answerer(solver, app, platform, document)
+    results = {t: answer(t) for t in dict.fromkeys(float(t) for t in thresholds)}
     return document, [results[float(t)] for t in thresholds], n_solves

@@ -398,7 +398,7 @@ def _solve_tasks(
             n_solved += n_runs
             n_groups += 1
             n_extracted += len(slots)
-            if fkey is not None:
+            if fkey is not None and n_runs:  # a reused warm document is stored already
                 cache.put_frontier(fkey, document)
         for u, result in zip(slots, answers):
             results[u] = result

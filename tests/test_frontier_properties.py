@@ -20,6 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.costs import evaluate, optimal_latency_mapping, period_lower_bound
 from repro.exact.brute_force import brute_force_pareto_front
 from repro.scenarios.families import family_names, generate_scenarios
+from repro.heuristics.base import stop_limit
+from repro.solvers import frontier
 from repro.solvers.frontier import frontier_eligible, frontier_solve
 from repro.solvers.registry import get_solver
 
@@ -135,6 +137,31 @@ class TestExtractionIdentity:
         assert {family for family, _ in covered} == (
             set(ALL_FAMILIES) - {"heterogeneous-links"}
         )
+
+
+class TestExtractionMemo:
+    def test_each_distinct_iterate_is_evaluated_once(self, monkeypatch):
+        """One ``frontier_solve`` evaluates each iterate its thresholds stop
+        at once, and every answer still equals its direct solve."""
+        calls = []
+        evaluate_once = frontier.evaluate
+        monkeypatch.setattr(
+            frontier, "evaluate", lambda *args: calls.append(args) or evaluate_once(*args)
+        )
+        scenario = generate_scenarios(1, "homogeneous-chain", seed=3)[0]
+        app, platform = scenario.application, scenario.platform
+        for name in FRONTIER_SOLVERS:
+            solver = get_solver(name)
+            lo, hi = _threshold_range(app, platform)
+            thresholds = _thresholds(lo, hi, [k / 20 for k in range(30)])
+            calls.clear()
+            document, _, _ = frontier_solve(solver, app, platform, thresholds)
+            stops = {
+                frontier._first_reaching(document["iterates"], stop_limit(t))
+                for t in thresholds
+            }
+            assert len(calls) == len(stops) < len(thresholds)
+            _assert_extraction_identity(solver, app, platform, thresholds)
 
 
 class TestInfeasibleKnee:

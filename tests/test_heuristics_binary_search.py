@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import evaluate, optimal_latency
-from repro.heuristics import SplittingBiPeriod, SplittingMonoPeriod
+from repro.heuristics import SelectionRule, SplittingBiPeriod, SplittingMonoPeriod
+from repro.heuristics.engine import trajectory
 from tests.conftest import random_instance
 
 
@@ -45,9 +46,10 @@ class TestLatencyMinimisation:
             bound = reachable * 1.3
             constrained = h.run(app, platform, period_bound=bound)
             assert constrained.feasible
-            # re-run the unconstrained pass manually through a huge authorised latency
-            state, _, _ = h._splitting_pass(app, platform, bound, None)
-            assert constrained.latency <= state.latency + 1e-9
+            # re-run the unconstrained pass manually (no authorised latency)
+            root = trajectory(app, platform, SelectionRule.RATIO)
+            unconstrained = h._splitting_pass(root, bound, None)
+            assert constrained.latency <= unconstrained.latency + 1e-9
 
     def test_latency_at_least_lemma1(self):
         for seed in range(5):

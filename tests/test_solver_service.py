@@ -231,6 +231,22 @@ class TestSingleRouter:
         assert stats.n_tasks == stats.n_unique == len(tasks)
         assert stats.n_solved == 1 + (len(tasks) - 3)
 
+    def test_a_reused_frontier_document_is_not_stored_again(self, instances):
+        """A warm document that answered new thresholds unchanged is neither
+        copied into the cache again nor rewritten on disk."""
+        cache = SolveCache()
+        h1 = get_solver("H1")
+
+        def stores(bounds):
+            before = cache.stats.stores
+            tasks = [(instances[0], h1, h1.default_request(period_bound=b)) for b in bounds]
+            _, stats = solve_frontier_many(tasks, cache=cache)
+            assert stats.n_frontier_groups == 1
+            return cache.stats.stores - before
+
+        assert stores((8.0, 10.0)) == 3  # two results and the new document
+        assert stores((12.0, 14.0)) == 2  # two results; the document is reused
+
     def test_warm_cache_serves_the_mixed_list(self, instances):
         tasks = self._mixed_tasks(instances)
         cache = SolveCache()

@@ -11,7 +11,8 @@ that ranking.  These tests pin the contract down three ways:
 * a hypothesis test drives random states of every family and compares each
   query, field by field, against a copy of the selection loop the tables
   replaced (cold and warm tables, caps below, at and above the candidates);
-* scope tests show that no table outlives the call that opened its scope.
+* scope tests show that no table, and no trajectory-trie node, outlives
+  the call that opened its scope.
 
 Regenerate the fixture (only when a change is *meant* to alter results)::
 
@@ -431,10 +432,29 @@ def tables_seen(monkeypatch):
     return seen
 
 
-def _assert_dropped(seen):
+@pytest.fixture
+def nodes_seen(monkeypatch):
+    """Weak references to every trajectory-trie node built.
+
+    No ``gc.collect()`` runs before they are checked: a node that outlives
+    its scope only through a reference cycle still counts as alive.
+    """
+    seen = []
+    init = engine.TrajectoryNode.__init__
+
+    def recording(node, *args):
+        init(node, *args)
+        seen.append(weakref.ref(node))
+
+    monkeypatch.setattr(engine.TrajectoryNode, "__init__", recording)
+    return seen
+
+
+def _assert_dropped(seen, nodes=()):
     assert seen, "no splitting state was built"
     assert tables._TABLES.get() is None
     assert all(ref() is None for ref, _, _, _ in seen)
+    assert all(ref() is None for ref in nodes), "a trie node outlived its scope"
 
 
 @pytest.fixture(scope="module")
@@ -445,26 +465,28 @@ def pair():
 
 
 class TestScope:
-    def test_no_table_survives_a_heuristic_run(self, pair, tables_seen):
+    def test_no_table_survives_a_heuristic_run(self, pair, tables_seen, nodes_seen):
         best = SplittingMonoPeriod().run(*pair, period_bound=1e-9)
         get_heuristic("H4").run(*pair, period_bound=1.2 * best.period)
         tables_seen[:1] = []  # the H1 run above had its own scope
-        # every bisection pass joined the run's one scope and table
-        assert len(tables_seen) > 2
-        assert len({table for _, table, _, _ in tables_seen}) == 1
+        # the bisection passes walked one trie, in the run's one scope
+        assert len(tables_seen) == 1
         assert None not in {registry for _, _, registry, _ in tables_seen}
-        _assert_dropped(tables_seen)
+        assert len(nodes_seen) > 2
+        _assert_dropped(tables_seen, nodes_seen)
 
-    def test_no_table_survives_solve_many(self, pair, tables_seen):
+    def test_no_table_survives_solve_many(self, pair, tables_seen, nodes_seen):
         solve_many([pair], ["H5", "H6"], latency_bound=pair[0].total_work)
         # both heuristics of the batch shared the instance's one table
         assert len({table for _, table, _, _ in tables_seen}) == 1
-        _assert_dropped(tables_seen)
+        assert nodes_seen
+        _assert_dropped(tables_seen, nodes_seen)
 
-    def test_no_table_survives_run_sweep(self, tables_seen):
+    def test_no_table_survives_run_sweep(self, tables_seen, nodes_seen):
         config = experiment_config("E1", 8, 5, n_instances=2)
         run_sweep(config, n_thresholds=3, seed=1)
-        _assert_dropped(tables_seen)
+        assert nodes_seen
+        _assert_dropped(tables_seen, nodes_seen)
 
     def test_nested_scope_reuses_the_outer_scope(self, pair):
         with instance_tables() as outer:
@@ -481,7 +503,9 @@ class TestScope:
     def test_a_state_outside_any_scope_gets_a_private_table(self, pair):
         assert SplittingState(*pair)._tables is not SplittingState(*pair)._tables
 
-    def test_daemon_solver_thread_gets_its_own_scope(self, tmp_path, pair, tables_seen):
+    def test_daemon_solver_thread_gets_its_own_scope(
+        self, tmp_path, pair, tables_seen, nodes_seen
+    ):
         sock = str(tmp_path / "daemon.sock")
         with instance_tables() as mine:
             with DaemonThread(DaemonConfig(socket_path=sock, workers=1)):
@@ -493,7 +517,8 @@ class TestScope:
         registries = {registry for _, _, registry, _ in tables_seen}
         assert None not in registries
         assert id(mine) not in registries
-        _assert_dropped(tables_seen)
+        assert nodes_seen
+        _assert_dropped(tables_seen, nodes_seen)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture maintenance
