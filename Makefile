@@ -217,8 +217,9 @@ serve-repeat:
 ## the three stdout reports are byte-identical — the frontier layer may only
 ## change the wall clock, and so may split tables and trajectory tries
 ## (shared across the whole batch when serial, built inside each pool
-## worker otherwise); a second, deeper panel (n=40, p=20) runs the tries
-## many splits deep
+## worker otherwise); a second, deeper panel (n=40, p=20) runs the 2-way
+## tries many splits deep, and a third (E3, n=40, p=100) the 3-way tries
+## of H2/H3
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
@@ -239,6 +240,15 @@ sweep-smoke:
 		> .sweep-smoke/deep-pooled.txt
 	cmp .sweep-smoke/deep-direct.txt .sweep-smoke/deep-frontier.txt
 	cmp .sweep-smoke/deep-frontier.txt .sweep-smoke/deep-pooled.txt
+	$(PYTHON) -m repro.cli sweep --family E3 --stages 40 --processors 100 \
+		--instances 4 --thresholds 6 --no-frontier > .sweep-smoke/wide-direct.txt
+	$(PYTHON) -m repro.cli sweep --family E3 --stages 40 --processors 100 \
+		--instances 4 --thresholds 6 --frontier > .sweep-smoke/wide-frontier.txt
+	$(PYTHON) -m repro.cli sweep --family E3 --stages 40 --processors 100 \
+		--instances 4 --thresholds 6 --frontier --workers 2 \
+		> .sweep-smoke/wide-pooled.txt
+	cmp .sweep-smoke/wide-direct.txt .sweep-smoke/wide-frontier.txt
+	cmp .sweep-smoke/wide-frontier.txt .sweep-smoke/wide-pooled.txt
 	rm -rf .sweep-smoke
 
 ## one parallel figure panel end to end (smoke test of the --workers path)

@@ -6,8 +6,8 @@ batch of solves then asks about again and again:
 * the heuristics' ranked two-way split candidates
   (:mod:`repro.heuristics.engine`), one ranking per split key;
 * the heuristics' trajectory tries (:func:`repro.heuristics.engine.trajectory`),
-  one per selection rule: the states H4's passes and the H5/H6 loop reach,
-  each built once and shared by every threshold;
+  one per (selection rule, split width, processor order): the states every
+  heuristic's walks reach, each built once and shared by every threshold;
 * the brute-force solvers' evaluated enumeration
   (:mod:`repro.exact.brute_force`), one period and one latency column per
   interval mapping;
@@ -41,9 +41,9 @@ class InstanceTables:
     """The derived tables of one (application, platform) pair.
 
     ``split_rankings`` maps a heuristic split key to its ranking;
-    ``trajectories`` maps a selection rule to the root of its trajectory
-    trie; ``brute_force`` and ``bitmask`` are filled by the exact solvers
-    on their first call.  Nothing stored here may reference the entry
+    ``trajectories`` maps ``(rule, width, order)`` to the root of its
+    trajectory trie; ``brute_force`` and ``bitmask`` are filled by the
+    exact solvers on their first call.  Nothing stored here may reference the entry
     itself: a cycle would keep the tables alive past their scope.
     """
 
@@ -56,7 +56,7 @@ class InstanceTables:
         self.app = app
         self.platform = platform
         self.split_rankings: dict[tuple, Any] = {}
-        self.trajectories: dict[str, Any] = {}
+        self.trajectories: dict[tuple, Any] = {}
         self.brute_force: Any = None
         self.bitmask: Any = None
 

@@ -24,8 +24,9 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from ..generators.experiments import ExperimentConfig, Instance, generate_instances
-from ..heuristics.base import FixedPeriodHeuristic, HeuristicResult
-from ..heuristics.engine import SelectionRule, SplittingState
+from ..heuristics.base import HeuristicResult
+from ..heuristics.engine import SelectionRule, TrajectoryNode, trajectory
+from ..heuristics.splitting import FixedPeriodWalk
 from ..solvers.registry import get_solver
 from ..utils.rng import ensure_rng
 from ..workloads.engine import execute_plan
@@ -60,7 +61,7 @@ class AblationRow:
         )
 
 
-class _RatioSplittingPeriod(FixedPeriodHeuristic):
+class _RatioSplittingPeriod(FixedPeriodWalk):
     """2-way splitting with the bi-criteria rule and no latency cap.
 
     This is the inner loop of ``Sp bi P`` without the binary search: it
@@ -70,30 +71,10 @@ class _RatioSplittingPeriod(FixedPeriodHeuristic):
 
     name: ClassVar[str] = "Sp ratio P (ablation)"
     key: ClassVar[str] = "A-ratio"
-
-    def _solve(self, app, platform, bound: float) -> HeuristicResult:
-        state = SplittingState(app, platform)
-        history = [state.point()]
-        n_splits = 0
-        while state.period > bound:
-            unused = state.next_unused(1)
-            if not unused:
-                break
-            candidate = state.best_two_way_split(
-                state.bottleneck_index,
-                unused[0],
-                rule=SelectionRule.RATIO,
-                require_improvement=True,
-            )
-            if candidate is None:
-                break
-            state.apply(candidate)
-            n_splits += 1
-            history.append(state.point())
-        return self._make_result(app, platform, state.mapping(), bound, n_splits, history)
+    rule: ClassVar[str] = SelectionRule.RATIO
 
 
-class _OrderedSplittingMonoPeriod(FixedPeriodHeuristic):
+class _OrderedSplittingMonoPeriod(FixedPeriodWalk):
     """H1 with a configurable processor consumption order (ablation only)."""
 
     name: ClassVar[str] = "Sp mono P (ordered)"
@@ -115,26 +96,9 @@ class _OrderedSplittingMonoPeriod(FixedPeriodHeuristic):
             return order
         raise ValueError(f"unknown order strategy {self.order_strategy!r}")
 
-    def _solve(self, app, platform, bound: float) -> HeuristicResult:
-        state = SplittingState(app, platform, processor_order=self._processor_order(platform))
-        history = [state.point()]
-        n_splits = 0
-        while state.period > bound:
-            unused = state.next_unused(1)
-            if not unused:
-                break
-            candidate = state.best_two_way_split(
-                state.bottleneck_index,
-                unused[0],
-                rule=SelectionRule.MONO,
-                require_improvement=True,
-            )
-            if candidate is None:
-                break
-            state.apply(candidate)
-            n_splits += 1
-            history.append(state.point())
-        return self._make_result(app, platform, state.mapping(), bound, n_splits, history)
+    def _root(self, app, platform) -> TrajectoryNode:
+        order = tuple(self._processor_order(platform))
+        return trajectory(app, platform, self.rule, self.width, order)
 
 
 def _summarise(variant: str, results: Sequence[HeuristicResult]) -> AblationRow:

@@ -9,7 +9,7 @@ from .base import (
 )
 from .baselines import ChainsPartitionBaseline, RandomMappingBaseline
 from .binary_search import SplittingBiPeriod
-from .engine import SelectionRule, SplitCandidate, SplittingState
+from .engine import SelectionRule, TrajectoryNode, trajectory
 from .exploration import ThreeExploBi, ThreeExploMono
 from .registry import (
     HEURISTIC_CLASSES,
@@ -31,8 +31,8 @@ __all__ = [
     "FixedPeriodHeuristic",
     "FixedLatencyHeuristic",
     "SelectionRule",
-    "SplitCandidate",
-    "SplittingState",
+    "TrajectoryNode",
+    "trajectory",
     "SplittingMonoPeriod",
     "SplittingMonoLatency",
     "SplittingBiLatency",

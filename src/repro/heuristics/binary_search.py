@@ -14,7 +14,7 @@ obtained by an unconstrained pass (infinite authorised latency), which is
 feasible whenever any pass can be.
 
 Every pass is a walk down the instance's bi-criteria trajectory trie
-(:func:`~repro.heuristics.engine.trajectory`): the passes of one run, and
+(:meth:`~repro.heuristics.engine.TrajectoryNode.walk`): the passes of one run, and
 the runs at other thresholds in the same scope, share every state they
 have in common, so each distinct split is applied once.
 """
@@ -26,7 +26,7 @@ from typing import ClassVar
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
 from .base import FixedPeriodHeuristic, HeuristicResult, reached, stop_limit
-from .engine import SelectionRule, TrajectoryNode, trajectory
+from .engine import SelectionRule, trajectory
 
 __all__ = ["SplittingBiPeriod"]
 
@@ -42,31 +42,13 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
     #: stop the bisection once the latency window is this small (relative)
     search_rel_tol: ClassVar[float] = 1e-4
 
-    @staticmethod
-    def _splitting_pass(
-        root: TrajectoryNode, period_bound: float, authorized_latency: float | None
-    ) -> TrajectoryNode:
-        """One splitting pass under a latency cap (``None`` = unconstrained).
-
-        Splits until the period reaches ``period_bound`` or the walk stalls,
-        and returns the state it ends at.
-        """
-        limit = None if authorized_latency is None else stop_limit(authorized_latency)
-        node = root
-        while not reached(node.period, period_bound):
-            child = node.child(limit)
-            if child is None:
-                break
-            node = child
-        return node
-
     def _solve(
         self, app: PipelineApplication, platform: Platform, bound: float
     ) -> HeuristicResult:
         root = trajectory(app, platform, SelectionRule.RATIO)
         # Unconstrained pass: establishes feasibility and the upper bound of
         # the binary search on the authorised latency.
-        best = self._splitting_pass(root, bound, None)
+        best = root.walk(bound)
         if not reached(best.period, bound):
             # the prescribed period cannot be reached even without a latency cap
             return self._node_result(app, platform, best, bound)
@@ -77,7 +59,8 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
             if hi - lo <= self.search_rel_tol * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            trial = self._splitting_pass(root, bound, mid)
+            # a pass that keeps every split within the authorised latency
+            trial = root.walk(bound, stop_limit(mid))
             if reached(trial.period, bound):
                 hi = mid
                 if trial.latency < best.latency - 1e-12:

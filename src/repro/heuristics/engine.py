@@ -1,47 +1,49 @@
 """Shared splitting engine used by every heuristic of Section 4.
 
-All six heuristics of the paper work on the same internal state:
+All six heuristics of the paper run the same loop:
 
 * processors are sorted by non-increasing speed;
 * initially the whole pipeline is mapped onto the fastest processor;
 * at each step the interval of the *bottleneck* processor (largest cycle
   time) is split, handing part of it to the next fastest processor(s) not yet
-  used;
+  used — one for a 2-way split, two for a 3-way one;
 * candidate splits are scored either by the **mono-criterion** rule (the new
   ``max`` cycle time of the touched processors) or by the **bi-criteria**
   rule (the ``Δlatency / Δperiod`` ratio), possibly under a latency cap.
 
-The engine below maintains that state incrementally (cycle time and latency
-contribution per interval) and evaluates *all* candidate cuts of a step with
-vectorised NumPy computations, which keeps the experiment harness (hundreds of
-thousands of heuristic runs for the figures) fast.
+The engine evaluates *all* candidate cuts of a step with vectorised NumPy
+computations, which keeps the experiment harness (hundreds of thousands of
+heuristic runs for the figures) fast.
 
-**Split tables.**  H1 and the ablation heuristics ask for the same two-way
-splits over and over, and the trajectory tries below rank every state they
-reach.  The first query of a split key ranks every candidate that passes
-the improvement test, once (score, largest new cycle time, new latency,
-orientation, cut), and every later query — whatever its latency cap —
-returns the first ranked candidate whose new latency is within the cap.
-The key is the split geometry (interval bounds, current and new processor,
-rule, improvement flag) plus the three state floats the ranking is
-computed from (the interval's cycle time, the current latency, and the
-latency without the interval), so a hit is bit-identical to re-ranking.
+**Trajectory tries.**  Every heuristic is a walk from the initial mapping:
+H1–H3 split until the period is reached, H4 runs up to 26 latency-capped
+passes per threshold, H5/H6 split under the latency bound, and a sweep
+runs each of them at every threshold.  A latency cap reaches the selection
+only through the ranking index it picks (:meth:`_Ranking.index`), so from
+a given state the next split depends on that index alone.
+:func:`trajectory` hands out the root of one trie per (instance, selection
+rule, split width, processor order): a :class:`TrajectoryNode` is the
+immutable state after ``k`` splits, its children are keyed by the ranking
+index, and its ranking and children are built on first visit.  Every
+threshold of every heuristic, H4's bisection probes and the frontier's
+exhaustion run (:mod:`repro.solvers.frontier`) walk the same nodes; only
+the stop tests stay per query (:meth:`TrajectoryNode.walk`).  Each node
+also memoises the :func:`~repro.core.costs.evaluate` of its mapping that
+the final result is built from.  The nodes reference neither their parent
+nor the table entry that holds the trie, so the trie is cycle-free and is
+freed with its scope.
 
-**Trajectory tries.**  H4's latency bisection runs up to 26 splitting
-passes per threshold, and a sweep runs H4–H6 at every threshold, so the
-same split paths were replayed from scratch again and again.  A latency
-cap reaches the selection only through the ranking index it picks
-(:meth:`_Ranking.index`), so from a given state the next split depends on
-that index alone.  :func:`trajectory` hands out the root of one trie per
-(instance, selection rule): a :class:`TrajectoryNode` is the immutable
-state after ``k`` splits, its children are keyed by the ranking index,
-and its ranking and children are built on first visit.  Every H5/H6
-threshold, H4's unconstrained pass and every H4 bisection probe walk the
-same nodes; only the stop tests stay per query.  Each node also memoises
-the :func:`~repro.core.costs.evaluate` of its mapping that the final
-result is built from.  The nodes reference neither their parent nor the
-table entry that holds the trie, so the trie is cycle-free and is freed
-with its scope.
+**Split tables.**  The first visit of a 2-way split key ranks every
+candidate that passes the improvement test, once (score, largest new cycle
+time, new latency, orientation, cut), and every later query — whatever its
+latency cap — takes the first ranked candidate whose new latency is within
+the cap.  The key is the split geometry (interval bounds, processors,
+rule) plus the three state floats the ranking is computed from (the
+interval's cycle time, the current latency, and the latency without the
+interval), so a hit is bit-identical to re-ranking; tries under other
+processor orders share it.  3-way rankings hold ``O(n²)`` candidates and
+are neither tabled nor kept: the 3-way walks are uncapped, so a node keeps
+only the child its ranking picks.
 
 Rankings and tries live in the instance's entry of an
 :func:`~repro.core.tables.instance_tables` scope, keyed by the
@@ -58,7 +60,6 @@ fully heterogeneous extension lives in :mod:`repro.extensions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
@@ -70,15 +71,9 @@ from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
 from ..core.tables import tables_for
-from .base import stop_limit
+from .base import reached
 
-__all__ = [
-    "SelectionRule",
-    "SplitCandidate",
-    "SplittingState",
-    "TrajectoryNode",
-    "trajectory",
-]
+__all__ = ["SelectionRule", "TrajectoryNode", "trajectory"]
 
 _EPS = 1e-12
 
@@ -102,82 +97,58 @@ class SelectionRule:
     RATIO = "ratio"
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """One evaluated way of splitting the bottleneck interval.
-
-    ``new_*`` fields describe the intervals replacing interval
-    ``interval_index`` of the state; global metrics (``new_period``,
-    ``new_latency``) account for the untouched intervals.
-    """
-
-    interval_index: int
-    new_intervals: tuple[Interval, ...]
-    new_processors: tuple[int, ...]
-    new_cycles: tuple[float, ...]
-    new_contributions: tuple[float, ...]
-    new_period: float
-    new_latency: float
-    old_cycle: float
-    old_latency: float
-    score: float
-
-    @property
-    def local_max_cycle(self) -> float:
-        """Largest cycle time among the intervals touched by the split."""
-        return max(self.new_cycles)
-
-    @property
-    def delta_latency(self) -> float:
-        """Latency increase caused by the split (usually non-negative)."""
-        return self.new_latency - self.old_latency
-
-    @property
-    def improves_period(self) -> bool:
-        """Whether the touched processors all beat the previous bottleneck."""
-        return self.local_max_cycle < self.old_cycle - _EPS * (1.0 + self.old_cycle)
-
-
 class _Ranking:
-    """The candidates of one split that pass the improvement test, best first.
+    """The improving candidates of one split, best first.
 
-    Candidates are the (assignment, cut) pairs of the split, assignment-major.
-    ``_order`` lists the kept ones in selection order — score, then largest
-    new cycle time, then new latency, then assignment and cut order — and
-    ``neg_floor[i]`` is minus the smallest new latency among ``_order[:i+1]``
-    (non-decreasing), so the best candidate under a latency cap is entry
-    ``i`` for the first ``i`` with ``-neg_floor[i] <= cap``: one binary
-    search.  ``old_cycle`` / ``old_latency`` are the state floats the
-    ranking was computed against; they are part of the table key.
+    Splitting ``[d, e]`` into ``len(procs)`` parts on ``procs`` (the
+    interval's own processor first, then the new ones): a candidate is an
+    assignment of the parts to ``procs`` (``permutations`` order) and a cut
+    tuple (lexicographic), assignment-major.  Only candidates whose largest
+    new cycle time beats ``old_cycle`` are kept.  ``_order`` lists them in
+    selection order — score, then largest new cycle time, then new latency,
+    then assignment and cut order — and ``neg_floor[i]`` is minus the
+    smallest new latency among ``_order[:i+1]`` (non-decreasing), so the
+    best candidate under a latency cap is entry ``i`` for the first ``i``
+    with ``-neg_floor[i] <= cap``: one binary search.  ``old_cycle`` (the
+    interval's cycle time), ``old_latency`` (the state's latency) and
+    ``base_latency`` (the latency without the interval) are the state
+    floats the ranking is computed from.
     """
 
-    __slots__ = (
-        "old_cycle", "old_latency", "neg_floor", "_order", "_d", "_e", "_cuts",
-        "_processors", "_cycles", "_contribs", "_local_max", "_new_latency",
-        "_score", "_entries",
-    )
+    __slots__ = ("neg_floor", "_order", "_d", "_e", "_cuts", "_processors", "_cycles",
+                 "_contribs", "_entries")
 
     def __init__(
         self,
+        inst: _Instance,
         d: int,
         e: int,
-        cuts: np.ndarray,
-        processors: list[tuple[int, ...]],
-        cycles: list[tuple[np.ndarray, ...]],
-        contribs: list[tuple[np.ndarray, ...]],
+        procs: tuple[int, ...],
         rule: str,
         old_cycle: float,
         old_latency: float,
         base_latency: float,
-        require_improvement: bool,
     ) -> None:
-        """Rank the candidates of ``processors`` (one assignment each).
-
-        ``cuts`` holds one row per cut position (``(n_parts - 1, n_cuts)``);
-        ``cycles[a][k]`` / ``contribs[a][k]`` are the per-cut cycle times and
-        latency contributions of part ``k`` under assignment ``a``.
-        """
-        n_parts = len(cycles[0])
+        n_parts = len(procs)
+        if n_parts == 2:
+            cuts = np.arange(d, e)[np.newaxis, :]  # parts [d, cut], [cut+1, e]
+        else:
+            cuts = d + np.vstack(np.triu_indices(e - d, k=1))
+        starts = [np.full(cuts.shape[1], d)] + [row + 1 for row in cuts]
+        ends = list(cuts) + [np.full(cuts.shape[1], e)]
+        # raw (input, work, output) times of every part via the shared kernel
+        # (speed=1.0 keeps the work sums undivided; a boundary communication
+        # is the output of one part and, bit for bit, the input of the next)
+        times = [inst.part_times(a, b) for a, b in zip(starts, ends)]
+        processors, cycles, contribs = [], [], []
+        for perm in permutations(procs):
+            parts = [
+                (entry + work / float(inst.speeds[u]), output)
+                for (entry, work, output), u in zip(times, perm)
+            ]
+            processors.append(perm)
+            cycles.append(tuple(contrib + output for contrib, output in parts))
+            contribs.append(tuple(contrib for contrib, _ in parts))
         # (parts, candidates): assignment-major columns
         cycles_arr = np.array(cycles).transpose(1, 0, 2).reshape(n_parts, -1)
         contribs_arr = np.array(contribs).transpose(1, 0, 2).reshape(n_parts, -1)
@@ -198,21 +169,15 @@ class _Ranking:
             score = ratios.max(axis=0)
         else:
             raise ValueError(f"unknown selection rule {rule!r}")
-        if require_improvement:
-            keep = np.flatnonzero(local_max < old_cycle - improvement_margin)
-        else:
-            keep = np.arange(local_max.size)
+        keep = np.flatnonzero(local_max < old_cycle - improvement_margin)
         # lexsort is stable: ties keep assignment-major, cut-minor order
         self._order = keep[
             np.lexsort((new_latency[keep], local_max[keep], score[keep]))
         ]
         self.neg_floor = -np.minimum.accumulate(new_latency[self._order])
-        self.old_cycle = float(old_cycle)
-        self.old_latency = float(old_latency)
         self._d, self._e, self._cuts = d, e, cuts
         self._processors = processors
         self._cycles, self._contribs = cycles_arr, contribs_arr
-        self._local_max, self._new_latency, self._score = local_max, new_latency, score
         self._entries: dict[int, tuple] = {}
 
     def index(self, limit: float | None) -> int:
@@ -225,10 +190,9 @@ class _Ranking:
         return int(np.searchsorted(self.neg_floor, -limit))
 
     def entry(self, i: int) -> tuple:
-        """Fields of the ``i``-th ranked candidate (built once, then reused).
+        """The ``i``-th ranked candidate (built once, then reused).
 
-        ``(new_intervals, new_processors, new_cycles, new_contributions,
-        local_max_cycle, new_latency, score)``.
+        ``(new_intervals, new_processors, new_cycles, new_contributions)``.
         """
         found = self._entries.get(i)
         if found is None:
@@ -242,9 +206,6 @@ class _Ranking:
                 tuple(self._processors[assignment]),
                 tuple(self._cycles[:, f].tolist()),
                 tuple(self._contribs[:, f].tolist()),
-                float(self._local_max[f]),
-                float(self._new_latency[f]),
-                float(self._score[f]),
             )
         return found
 
@@ -284,9 +245,9 @@ class _Instance:
         """(input, compute, output) times of candidate parts, via the shared kernel.
 
         Thin wrapper over :func:`repro.core.costs.interval_time_components`
-        with the platform constants bound; the candidate generators call it
-        with ``speed=1.0`` to get raw work sums they then divide by each
-        processor speed under consideration.
+        with the platform constants bound; :class:`_Ranking` calls it with
+        ``speed=1.0`` to get raw work sums it then divides by each processor
+        speed under consideration.
         """
         return interval_time_components(
             self.prefix,
@@ -306,290 +267,23 @@ class _Instance:
         return float(input_time + work_time + output_time), float(input_time + work_time)
 
 
-def _two_way_ranking(
-    inst: _Instance,
-    rankings: dict[tuple, _Ranking],
-    d: int,
-    e: int,
-    proc_j: int,
-    new_proc: int,
-    rule: str,
-    require_improvement: bool,
-    old_cycle: float,
-    old_latency: float,
-    base_latency: float,
-) -> _Ranking:
-    """The ranking of splitting ``[d, e]`` between ``proc_j`` and ``new_proc``.
-
-    Looked up in (or added to) ``rankings`` under the split key: the
-    geometry plus the three state floats the ranking is computed from.
-    """
-    key = (
-        d, e, proc_j, new_proc, rule, require_improvement,
-        old_cycle, old_latency, base_latency,
-    )
-    ranking = rankings.get(key)
-    if ranking is None:
-        s_j = float(inst.speeds[proc_j])
-        s_q = float(inst.speeds[new_proc])
-        cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
-        # raw (input, work, output) times of both parts via the shared
-        # kernel (speed=1.0 keeps the work sums undivided; ``mid`` is the
-        # boundary communication, part-1 output and part-2 input alike)
-        in1, w1, mid = inst.part_times(np.full_like(cuts, d), cuts)
-        _, w2, out2 = inst.part_times(cuts + 1, np.full_like(cuts, e))
-        processors, cycles, contribs = [], [], []
-        for first_speed, second_speed, procs in (
-            (s_j, s_q, (proc_j, new_proc)),
-            (s_q, s_j, (new_proc, proc_j)),
-        ):
-            contrib1 = in1 + w1 / first_speed
-            contrib2 = mid + w2 / second_speed
-            processors.append(procs)
-            cycles.append((contrib1 + mid, contrib2 + out2))
-            contribs.append((contrib1, contrib2))
-        ranking = rankings[key] = _Ranking(
-            d, e, cuts[np.newaxis, :], processors, cycles, contribs,
-            rule, old_cycle, old_latency, base_latency, require_improvement,
-        )
-    return ranking
-
-
-class SplittingState:
-    """Mutable mapping state shared by the splitting/exploration heuristics."""
-
-    def __init__(
-        self,
-        app: PipelineApplication,
-        platform: Platform,
-        processor_order: Sequence[int] | None = None,
-    ) -> None:
-        """Initialise the state with the whole pipeline on the first processor.
-
-        ``processor_order`` overrides the order in which processors are
-        consumed (default: non-increasing speed, as in the paper); it is used
-        by the ablation study to quantify how much the speed sort matters.
-        """
-        inst = self._inst = _Instance(app, platform)
-        self.app = app
-        self.platform = platform
-        self._speeds = inst.speeds
-        if processor_order is None:
-            order = platform.processors_by_speed(descending=True)
-        else:
-            order = [int(u) for u in processor_order]
-            if sorted(order) != sorted(set(order)) or any(
-                not 0 <= u < platform.n_processors for u in order
-            ):
-                raise InvalidPlatformError(
-                    "processor_order must list distinct valid processor indices"
-                )
-        fastest = order[0]
-        self.intervals: list[Interval] = [Interval(0, inst.n - 1)]
-        self.processors: list[int] = [fastest]
-        self._unused: list[int] = list(order[1:])
-        cycle, contrib = inst.interval_metrics(0, inst.n - 1, fastest)
-        self._cycles: list[float] = [cycle]
-        self._contribs: list[float] = [contrib]
-        self._tables = tables_for(app, platform)
-
-    def _part_times(
-        self,
-        starts: np.ndarray | int,
-        ends: np.ndarray | int,
-        speed: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(input, compute, output) times of candidate parts (see :meth:`_Instance.part_times`)."""
-        return self._inst.part_times(starts, ends, speed)
-
-    # ------------------------------------------------------------------ #
-    # state queries
-    # ------------------------------------------------------------------ #
-    @property
-    def n_intervals(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def period(self) -> float:
-        """Current period (max cycle time over all intervals)."""
-        return max(self._cycles)
-
-    @property
-    def latency(self) -> float:
-        """Current latency (sum of contributions plus final output)."""
-        return _added(self._contribs) + self._inst.tail
-
-    @property
-    def bottleneck_index(self) -> int:
-        """Index of the interval with the largest cycle time (ties: first)."""
-        return int(np.argmax(self._cycles))
-
-    def cycle(self, j: int) -> float:
-        return self._cycles[j]
-
-    def next_unused(self, count: int = 1) -> list[int]:
-        """The next ``count`` fastest processors not yet enrolled (may be fewer)."""
-        return list(self._unused[:count])
-
-    @property
-    def n_unused(self) -> int:
-        return len(self._unused)
-
-    def mapping(self) -> IntervalMapping:
-        """Snapshot of the current state as an :class:`IntervalMapping`."""
-        return IntervalMapping(list(self.intervals), list(self.processors))
-
-    def point(self) -> tuple[float, float]:
-        """Current ``(period, latency)`` objective point."""
-        return (self.period, self.latency)
-
-    # ------------------------------------------------------------------ #
-    # candidate generation
-    # ------------------------------------------------------------------ #
-    def _other_max_cycle(self, j: int) -> float:
-        return max(
-            (c for k, c in enumerate(self._cycles) if k != j), default=0.0
-        )
-
-    def _base_latency_without(self, j: int) -> float:
-        return _added(self._contribs) - self._contribs[j] + self._inst.tail
-
-    def _pick(
-        self, ranking: _Ranking, j: int, latency_cap: float | None
-    ) -> SplitCandidate | None:
-        """The best ranked candidate whose new latency is within ``latency_cap``."""
-        i = ranking.index(None if latency_cap is None else stop_limit(latency_cap))
-        if i >= ranking.neg_floor.size:
-            return None
-        intervals, procs, cycles, contribs, local_max, new_latency, score = (
-            ranking.entry(i)
-        )
-        return SplitCandidate(
-            interval_index=j,
-            new_intervals=intervals,
-            new_processors=procs,
-            new_cycles=cycles,
-            new_contributions=contribs,
-            new_period=float(max(self._other_max_cycle(j), local_max)),
-            new_latency=new_latency,
-            old_cycle=ranking.old_cycle,
-            old_latency=ranking.old_latency,
-            score=score,
-        )
-
-    def best_two_way_split(
-        self,
-        j: int,
-        new_proc: int,
-        rule: str = SelectionRule.MONO,
-        latency_cap: float | None = None,
-        require_improvement: bool = True,
-    ) -> SplitCandidate | None:
-        """Best way to split interval ``j`` between its processor and ``new_proc``.
-
-        All cut positions and both orientations (first part kept on the
-        current processor, or given to the new one) are evaluated; ``None`` is
-        returned when the interval is a single stage or no candidate passes
-        the filters (improvement / latency cap).  The candidates are ranked
-        once per split key in the instance's
-        :class:`~repro.core.tables.InstanceTables`; the latency cap only
-        picks among them.
-        """
-        iv = self.intervals[j]
-        d, e = iv.start, iv.end
-        if e == d:
-            return None
-        ranking = _two_way_ranking(
-            self._inst, self._tables.split_rankings, d, e, self.processors[j],
-            new_proc, rule, require_improvement, self._cycles[j], self.latency,
-            self._base_latency_without(j),
-        )
-        return self._pick(ranking, j, latency_cap)
-
-    def best_three_way_split(
-        self,
-        j: int,
-        new_procs: Sequence[int],
-        rule: str = SelectionRule.MONO,
-        latency_cap: float | None = None,
-        require_improvement: bool = True,
-    ) -> SplitCandidate | None:
-        """Best 3-way split of interval ``j`` using two additional processors.
-
-        All pairs of cut positions and all ``3!`` assignments of the three
-        parts to ``{current processor} ∪ new_procs`` are evaluated.  ``None``
-        when the interval has fewer than three stages or no candidate passes
-        the filters.  The candidates go through the same :class:`_Ranking`
-        as :meth:`best_two_way_split` but are not tabled: they number
-        ``O(n²)`` per key, and frontier solves already run H2/H3 once per
-        instance.
-        """
-        if len(new_procs) != 2:
-            raise ValueError("best_three_way_split needs exactly two new processors")
-        iv = self.intervals[j]
-        d, e = iv.start, iv.end
-        if e - d < 2:
-            return None
-        proc_j = self.processors[j]
-        procs_all = (proc_j, int(new_procs[0]), int(new_procs[1]))
-
-        n_cut_positions = e - d  # cuts in [d, e-1]
-        rel1, rel2 = np.triu_indices(n_cut_positions, k=1)
-        cut1 = d + rel1
-        cut2 = d + rel2
-
-        # raw (input, work, output) times of the three parts (shared kernel;
-        # the boundary communications mid12/mid23 are each shared by two parts)
-        in1, w1, mid12 = self._part_times(np.full_like(cut1, d), cut1)
-        _, w2, mid23 = self._part_times(cut1 + 1, cut2)
-        _, w3, out3 = self._part_times(cut2 + 1, np.full_like(cut2, e))
-
-        processors, cycles, contribs = [], [], []
-        for perm in permutations(procs_all):
-            s1, s2, s3 = (float(self._speeds[u]) for u in perm)
-            contrib1 = in1 + w1 / s1
-            contrib2 = mid12 + w2 / s2
-            contrib3 = mid23 + w3 / s3
-            processors.append(perm)
-            cycles.append((contrib1 + mid12, contrib2 + mid23, contrib3 + out3))
-            contribs.append((contrib1, contrib2, contrib3))
-        ranking = _Ranking(
-            d, e, np.vstack((cut1, cut2)), processors, cycles, contribs,
-            rule, self._cycles[j], self.latency, self._base_latency_without(j),
-            require_improvement,
-        )
-        return self._pick(ranking, j, latency_cap)
-
-    # ------------------------------------------------------------------ #
-    # state mutation
-    # ------------------------------------------------------------------ #
-    def apply(self, candidate: SplitCandidate) -> None:
-        """Apply a split candidate, enrolling its new processors."""
-        j = candidate.interval_index
-        if not 0 <= j < self.n_intervals:
-            raise ValueError(f"candidate refers to stale interval index {j}")
-        self.intervals[j : j + 1] = list(candidate.new_intervals)
-        self.processors[j : j + 1] = list(candidate.new_processors)
-        self._cycles[j : j + 1] = list(candidate.new_cycles)
-        self._contribs[j : j + 1] = list(candidate.new_contributions)
-        used = set(candidate.new_processors)
-        self._unused = [u for u in self._unused if u not in used]
-
-
 class _Trie:
     """What the nodes of one trajectory trie share.
 
-    The instance constants, the selection rule, and the instance's split
-    rankings (the dict of its :class:`~repro.core.tables.InstanceTables`,
-    not the entry itself, so no node reaches back to the entry that holds
-    the trie).
+    The instance constants, the selection rule, the split width (parts per
+    split: 2 or 3), and the instance's split rankings (the dict of its
+    :class:`~repro.core.tables.InstanceTables`, not the entry itself, so no
+    node reaches back to the entry that holds the trie).
     """
 
-    __slots__ = ("inst", "rule", "rankings")
+    __slots__ = ("inst", "rule", "width", "rankings")
 
-    def __init__(self, inst: _Instance, rule: str, rankings: dict[tuple, _Ranking]) -> None:
+    def __init__(
+        self, inst: _Instance, rule: str, width: int, rankings: dict[tuple, _Ranking]
+    ) -> None:
         self.inst = inst
         self.rule = rule
+        self.width = width
         self.rankings = rankings
 
 
@@ -598,14 +292,19 @@ class TrajectoryNode:
 
     A node is the state after ``depth`` splits of the bottleneck interval:
     intervals, processors, cycle times, latency contributions, unused
-    processors (fastest first), the engine's ``(period, latency)`` point and
-    the history of points since the initial mapping.  It never changes once
-    built.  Its split ranking (the bottleneck interval split with the next
-    unused processor, improvement required) and its children are built on
-    first visit.  A latency limit reaches the selection only through the
-    ranking index :meth:`_Ranking.index` returns, so the children are keyed
-    by that index: every walk that picks the same index from this state
-    shares the child.
+    processors (in consumption order), the engine's ``(period, latency)``
+    point and the history of points since the initial mapping.  It never
+    changes once built.  Its split ranking (the bottleneck interval cut into
+    ``width`` parts over its processor and the next ``width - 1`` unused
+    ones) and its children are built on first visit.  A latency limit
+    reaches the selection only through the ranking index
+    :meth:`_Ranking.index` returns, so the children are keyed by that index:
+    every walk that picks the same index from this state shares the child.
+
+    Two-way rankings are tabled per split key and kept by the node.  A
+    three-way ranking holds ``O(n²)`` candidates, and the 3-way walks are
+    never capped, so the node builds the one child it picks and drops the
+    ranking at once.
 
     Nodes hold no parent and no :class:`~repro.core.tables.InstanceTables`
     entry, so the trie is cycle-free and is freed as soon as its scope
@@ -638,7 +337,7 @@ class TrajectoryNode:
         self.latency = _added(contribs) + trie.inst.tail
         self.history = history + ((self.period, self.latency),)
         #: ``(bottleneck index, ranking)``; ``False`` when stalled, ``None`` unvisited
-        self._split: tuple[int, _Ranking] | bool | None = None
+        self._split: tuple[int, _Ranking | None] | bool | None = None
         self._children: dict[int, TrajectoryNode] = {}
         self._mapping: IntervalMapping | None = None
         self._evaluation: MappingEvaluation | None = None
@@ -652,8 +351,9 @@ class TrajectoryNode:
         """The state after the next split whose new latency is at most ``limit``.
 
         ``limit`` is a :func:`~repro.heuristics.base.stop_limit` value, or
-        ``None`` for no latency cap.  ``None`` is returned when the walk
-        stalls: no unused processor, a single-stage bottleneck, or no
+        ``None`` for no latency cap (the only value a 3-way trie takes).
+        ``None`` is returned when the walk stalls: too few unused
+        processors, too few stages in the bottleneck interval, or no
         improving split within the limit.
         """
         split = self._split
@@ -662,6 +362,10 @@ class TrajectoryNode:
         if split is False:
             return None
         j, ranking = split
+        if ranking is None:  # a 3-way split, built by _rank
+            if limit is not None:
+                raise ValueError("3-way trajectories are walked without a latency limit")
+            return self._children[0]
         i = ranking.index(limit)
         if i >= ranking.neg_floor.size:
             return None
@@ -670,24 +374,58 @@ class TrajectoryNode:
             found = self._children[i] = self._apply(j, ranking.entry(i))
         return found
 
-    def _rank(self) -> tuple[int, _Ranking] | bool:
-        if not self.unused:
+    def walk(
+        self, period_bound: float | None = None, limit: float | None = None
+    ) -> "TrajectoryNode":
+        """The node a walk from here under ``limit`` ends at.
+
+        The walk takes :meth:`child` steps until the period meets
+        ``period_bound`` (:func:`~repro.heuristics.base.reached`) or the
+        walk stalls; without a bound it runs until it stalls.
+        """
+        node = self
+        while period_bound is None or not reached(node.period, period_bound):
+            child = node.child(limit)
+            if child is None:
+                break
+            node = child
+        return node
+
+    def _rank(self) -> tuple[int, _Ranking | None] | bool:
+        """``(bottleneck index, ranking)``; ``False`` when the walk stalls here.
+
+        A 3-way node builds its child here and keeps no ranking (``None``).
+        """
+        trie = self._trie
+        n_new = trie.width - 1
+        if len(self.unused) < n_new:
             return False
         j = int(np.argmax(self.cycles))
         iv = self.intervals[j]
-        if iv.start == iv.end:
+        if iv.end - iv.start < n_new:
             return False
-        trie = self._trie
         contribs = self.contribs
-        base_latency = _added(contribs) - contribs[j] + trie.inst.tail
-        return j, _two_way_ranking(
-            trie.inst, trie.rankings, iv.start, iv.end, self.processors[j],
-            self.unused[0], trie.rule, True, self.cycles[j], self.latency,
-            base_latency,
+        # the split key: geometry plus the three state floats ranked against
+        key = (
+            iv.start, iv.end, (self.processors[j],) + self.unused[:n_new], trie.rule,
+            self.cycles[j], self.latency, _added(contribs) - contribs[j] + trie.inst.tail,
         )
+        if n_new == 1:
+            ranking = trie.rankings.get(key)
+            if ranking is None:
+                ranking = trie.rankings[key] = _Ranking(trie.inst, *key)
+            return j, ranking
+        # a batch keeps its scope (and so this node) until it returns: an
+        # O(n²) 3-way ranking must not live that long, and only index 0 is
+        # ever asked for
+        ranking = _Ranking(trie.inst, *key)
+        if not ranking.neg_floor.size:
+            return False
+        self._children[0] = self._apply(j, ranking.entry(0))
+        return j, None
 
     def _apply(self, j: int, entry: tuple) -> "TrajectoryNode":
-        intervals, procs, cycles, contribs = entry[:4]
+        intervals, procs, cycles, contribs = entry
         used = set(procs)
         return TrajectoryNode(
             self._trie,
@@ -714,23 +452,33 @@ class TrajectoryNode:
 
 
 def trajectory(
-    app: PipelineApplication, platform: Platform, rule: str
+    app: PipelineApplication,
+    platform: Platform,
+    rule: str,
+    width: int = 2,
+    order: tuple[int, ...] | None = None,
 ) -> TrajectoryNode:
-    """The root of the instance's trajectory trie under selection ``rule``.
+    """The root of the instance's trajectory trie under ``rule`` and ``width``.
 
-    The root is the initial mapping (the whole pipeline on the fastest
-    processor).  It lives in the instance's
-    :class:`~repro.core.tables.InstanceTables` entry, so every walk in one
+    ``width`` is the number of parts each split makes: 2 for the splitting
+    heuristics, 3 for the 3-exploration ones.  ``order`` is the order in
+    which processors are consumed, a permutation of the processor indices;
+    ``None`` is the paper's non-increasing speed.  The root is the initial
+    mapping (the whole pipeline on the first processor of the order).  It
+    lives in the instance's :class:`~repro.core.tables.InstanceTables`
+    entry under ``(rule, width, order)``, so every walk in one
     :func:`~repro.core.tables.instance_tables` scope shares its nodes.
     """
     tables = tables_for(app, platform)
-    root = tables.trajectories.get(rule)
+    key = (rule, width, order)
+    root = tables.trajectories.get(key)
     if root is None:
         inst = _Instance(app, platform)
-        order = platform.processors_by_speed(descending=True)
+        if order is None:
+            order = tuple(platform.processors_by_speed(descending=True))
         cycle, contrib = inst.interval_metrics(0, inst.n - 1, order[0])
-        root = tables.trajectories[rule] = TrajectoryNode(
-            _Trie(inst, rule, tables.split_rankings),
+        root = tables.trajectories[key] = TrajectoryNode(
+            _Trie(inst, rule, width, tables.split_rankings),
             (Interval(0, inst.n - 1),), (order[0],), (cycle,), (contrib,),
             tuple(order[1:]), (),
         )

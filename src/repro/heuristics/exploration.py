@@ -18,61 +18,35 @@ they stop.  This matches the paper's observations — with few processors the
 3-exploration heuristics stall early and exhibit the largest failure
 thresholds of Table 1, while with ``p = 100`` they become competitive because
 fast processor pairs remain available much longer.
+
+Both walk a 3-way trajectory trie of the instance
+(:func:`~repro.heuristics.engine.trajectory` with ``width=3``) until the
+period is reached or the walk stalls, like H1 on the 2-way one.
 """
 
 from __future__ import annotations
 
 from typing import ClassVar
 
-from ..core.application import PipelineApplication
-from ..core.platform import Platform
-from .base import FixedPeriodHeuristic, HeuristicResult, reached
-from .engine import SelectionRule, SplitCandidate, SplittingState
+from .engine import SelectionRule
+from .splitting import FixedPeriodWalk
 
 __all__ = ["ThreeExploMono", "ThreeExploBi"]
 
 
-class _ThreeExploration(FixedPeriodHeuristic):
-    """Common loop of the 3-exploration heuristics."""
-
-    rule: ClassVar[str] = SelectionRule.MONO
-
-    def _step_candidate(self, state: SplittingState) -> SplitCandidate | None:
-        j = state.bottleneck_index
-        unused = state.next_unused(2)
-        if len(unused) < 2:
-            return None
-        return state.best_three_way_split(
-            j, unused, rule=self.rule, require_improvement=True
-        )
-
-    def _solve(
-        self, app: PipelineApplication, platform: Platform, bound: float
-    ) -> HeuristicResult:
-        state = SplittingState(app, platform)
-        history = [state.point()]
-        n_splits = 0
-        while not reached(state.period, bound):
-            candidate = self._step_candidate(state)
-            if candidate is None:
-                break
-            state.apply(candidate)
-            n_splits += 1
-            history.append(state.point())
-        return self._make_result(app, platform, state.mapping(), bound, n_splits, history)
-
-
-class ThreeExploMono(_ThreeExploration):
+class ThreeExploMono(FixedPeriodWalk):
     """``H2 3-Explo mono`` — mono-criterion 3-way exploration, fixed period."""
 
     name: ClassVar[str] = "3-Explo mono"
     key: ClassVar[str] = "H2"
     rule: ClassVar[str] = SelectionRule.MONO
+    width: ClassVar[int] = 3
 
 
-class ThreeExploBi(_ThreeExploration):
+class ThreeExploBi(FixedPeriodWalk):
     """``H3 3-Explo bi`` — bi-criteria 3-way exploration, fixed period."""
 
     name: ClassVar[str] = "3-Explo bi"
     key: ClassVar[str] = "H3"
     rule: ClassVar[str] = SelectionRule.RATIO
+    width: ClassVar[int] = 3

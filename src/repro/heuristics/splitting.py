@@ -12,6 +12,12 @@ handing part of it to the next fastest unused processor:
   splitting continues as long as the period keeps improving.
 * **Sp bi L** (H6, fixed latency): same loop as H5 but the split is selected
   by the bi-criteria rule ``min max_i Δlatency / Δperiod(i)``.
+
+Each run is a walk down the instance's trajectory trie
+(:func:`~repro.heuristics.engine.trajectory`): H1 walks the mono trie
+uncapped, which is exactly H5's path at an unbounded latency, so H1 and
+H5 share nodes, and runs at other bounds in the same scope share every
+state they have in common.
 """
 
 from __future__ import annotations
@@ -27,56 +33,49 @@ from .base import (
     reached,
     stop_limit,
 )
-from .engine import SelectionRule, SplitCandidate, SplittingState, trajectory
+from .engine import SelectionRule, TrajectoryNode, trajectory
 
 __all__ = ["SplittingMonoPeriod", "SplittingMonoLatency", "SplittingBiLatency"]
 
 
-class SplittingMonoPeriod(FixedPeriodHeuristic):
-    """``H1 Sp mono P`` — mono-criterion splitting for a fixed period."""
+class FixedPeriodWalk(FixedPeriodHeuristic):
+    """A fixed-period heuristic that splits until the period is reached.
 
-    name: ClassVar[str] = "Sp mono P"
-    key: ClassVar[str] = "H1"
+    The run walks the instance's trajectory trie under :attr:`rule` and
+    :attr:`width` without a latency cap and stops as soon as the period
+    meets the bound or the walk stalls.  The selection never sees the bound
+    — it only decides when the walk *stops* — which makes the trajectory
+    threshold-independent and the heuristic frontier-capable
+    (:mod:`repro.solvers.frontier` walks the same trie to exhaustion).
+    """
 
-    def _step_candidate(self, state: SplittingState) -> SplitCandidate | None:
-        """The next split the heuristic would apply (``None`` when stalled).
+    rule: ClassVar[str] = SelectionRule.MONO
+    #: parts per split: 2 (splitting) or 3 (3-exploration)
+    width: ClassVar[int] = 2
 
-        The selection never sees the threshold — the bound only decides when
-        the loop *stops* — which is what makes the whole trajectory
-        threshold-independent and the heuristic frontier-capable
-        (:mod:`repro.solvers.frontier`).
-        """
-        unused = state.next_unused(1)
-        if not unused:
-            return None
-        j = state.bottleneck_index
-        return state.best_two_way_split(
-            j, unused[0], rule=SelectionRule.MONO, require_improvement=True
-        )
+    def _root(self, app: PipelineApplication, platform: Platform) -> TrajectoryNode:
+        """The root of the trie the heuristic walks."""
+        return trajectory(app, platform, self.rule, self.width)
 
     def _solve(
         self, app: PipelineApplication, platform: Platform, bound: float
     ) -> HeuristicResult:
-        state = SplittingState(app, platform)
-        history = [state.point()]
-        n_splits = 0
-        while not reached(state.period, bound):
-            candidate = self._step_candidate(state)
-            if candidate is None:
-                break
-            state.apply(candidate)
-            n_splits += 1
-            history.append(state.point())
-        return self._make_result(app, platform, state.mapping(), bound, n_splits, history)
+        node = self._root(app, platform).walk(bound)
+        return self._node_result(app, platform, node, bound)
+
+
+class SplittingMonoPeriod(FixedPeriodWalk):
+    """``H1 Sp mono P`` — mono-criterion splitting for a fixed period."""
+
+    name: ClassVar[str] = "Sp mono P"
+    key: ClassVar[str] = "H1"
 
 
 class _FixedLatencySplitting(FixedLatencyHeuristic):
     """Common loop of the fixed-latency splitting heuristics (H5 / H6).
 
     The loop is a walk down the instance's trajectory trie under
-    :attr:`rule` (:func:`~repro.heuristics.engine.trajectory`), with the
-    bound as the latency cap of every split: runs at other bounds in the
-    same scope share every state they have in common.
+    :attr:`rule`, with the bound as the latency cap of every split.
     """
 
     rule: ClassVar[str] = SelectionRule.MONO
@@ -88,12 +87,7 @@ class _FixedLatencySplitting(FixedLatencyHeuristic):
         # If even the latency-optimal initial mapping exceeds the bound, the
         # run is infeasible; the walk below can only keep latency <= bound.
         if reached(node.latency, bound):
-            limit = stop_limit(bound)
-            while True:
-                child = node.child(limit)
-                if child is None:
-                    break
-                node = child
+            node = node.walk(limit=stop_limit(bound))
         return self._node_result(app, platform, node, bound)
 
 

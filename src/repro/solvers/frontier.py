@@ -12,14 +12,15 @@ per-threshold solve it replaces.
 
 The frontier-capable solvers (tagged ``Capability.FRONTIER``) are the
 iterative splitting heuristics whose *trajectory* is threshold-independent —
-the bound appears only in the loop's stop test (``H1 Sp mono P``,
-``H2 3-Explo mono``, ``H3 3-Explo bi``).  One exhaustion run records every
-iterate ``(period, latency, mapping)``; a query at threshold ``t`` replays
-the stop predicate over the recorded engine periods (binary search — the
-periods are non-increasing) and rebuilds the result from the selected
-iterate with the heuristic's own ``_make_result``, reproducing the direct
-run exactly; the thresholds of one batch that stop at the same iterate
-share its decoded mapping and evaluation.  Every other solver, the exact
+the bound appears only in the walk's stop test (``H1 Sp mono P``,
+``H2 3-Explo mono``, ``H3 3-Explo bi``).  One walk down the heuristic's
+uncapped trajectory-trie path (:mod:`repro.heuristics.engine`) records
+every iterate ``(period, latency, mapping)``; a query at threshold ``t``
+replays the stop predicate over the recorded engine periods (binary
+search — the periods are non-increasing) and rebuilds the result from the
+selected iterate with the heuristic's own ``_make_result``, reproducing
+the direct run exactly; the thresholds of one batch that stop at the same
+iterate share its decoded mapping and evaluation.  Every other solver, the exact
 DPs included, answers each threshold with its own direct solve.
 
 The documents are JSON-safe dictionaries, so the cache layer
@@ -35,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..core import kernels
 from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
+from ..core.mapping import IntervalMapping
 from ..core.serialization import mapping_from_dict, mapping_to_dict
 from ..heuristics.base import stop_limit
 from .base import Capability, Objective, SolveResult
@@ -100,38 +102,29 @@ def compute_steps_frontier(
     app: "PipelineApplication",
     platform: "Platform",
 ) -> dict[str, Any]:
-    """Run a frontier solver to exhaustion and record every iterate.
+    """Walk a frontier solver's trajectory to exhaustion and record every iterate.
 
     The returned document holds the full monotone step curve: iterate ``i``
     is the state after ``i`` splits, with the engine's own ``(period,
-    latency)`` point (the floats the direct loop's stop test and history
-    see) and a snapshot of the mapping.  The trajectory is finite — every
-    split enrolls at least one new processor — and threshold-independent,
-    so this one run answers every possible threshold.
+    latency)`` point (the floats the direct walk's stop test and history
+    see) and a snapshot of the mapping.  The iterates are the nodes of the
+    heuristic's trajectory trie along its uncapped path, the path every
+    direct run of the heuristic stops on.  The trajectory is finite —
+    every split enrolls at least one new processor — and
+    threshold-independent, so this one walk answers every possible
+    threshold.
     """
-    from ..heuristics.engine import SplittingState
-
-    heuristic = _steps_heuristic(solver)
-    state = SplittingState(app, platform)
-    iterates = [
-        {
-            "period": float(state.period),
-            "latency": float(state.latency),
-            "mapping": mapping_to_dict(state.mapping()),
-        }
-    ]
-    while True:
-        candidate = heuristic._step_candidate(state)
-        if candidate is None:
-            break
-        state.apply(candidate)
+    node = _steps_heuristic(solver)._root(app, platform)
+    iterates = []
+    while node is not None:
         iterates.append(
             {
-                "period": float(state.period),
-                "latency": float(state.latency),
-                "mapping": mapping_to_dict(state.mapping()),
+                "period": float(node.period),
+                "latency": float(node.latency),
+                "mapping": mapping_to_dict(IntervalMapping(node.intervals, node.processors)),
             }
         )
+        node = node.child(None)
     return {
         "schema": FRONTIER_SCHEMA,
         "mode": "steps",

@@ -48,7 +48,7 @@ class TestLatencyMinimisation:
             assert constrained.feasible
             # re-run the unconstrained pass manually (no authorised latency)
             root = trajectory(app, platform, SelectionRule.RATIO)
-            unconstrained = h._splitting_pass(root, bound, None)
+            unconstrained = root.walk(bound)
             assert constrained.latency <= unconstrained.latency + 1e-9
 
     def test_latency_at_least_lemma1(self):

@@ -1,18 +1,24 @@
 """Split tables: ranking each bottleneck split once changes no result.
 
-:meth:`SplittingState.best_two_way_split` ranks every candidate of a split
-key once and answers each later query — whatever its latency cap — from
-that ranking.  These tests pin the contract down three ways:
+A trajectory-trie node (:mod:`repro.heuristics.engine`) ranks every
+candidate of its bottleneck split once — through the instance's split
+table for a 2-way split — and answers each later query, whatever its
+latency cap, from that ranking.  These tests pin the contract down three
+ways:
 
 * a golden fixture (``tests/golden/heuristic_identity.json``) holds the
   sha256 of ``SolveResult.identity()`` for H1–H6 and the two ablation
   heuristics on the paper panels and every communication-homogeneous
-  scenario family, generated before the tables existed;
-* a hypothesis test drives random states of every family and compares each
-  query, field by field, against a copy of the selection loop the tables
-  replaced (cold and warm tables, caps below, at and above the candidates);
+  scenario family, generated before the tables existed, plus H1–H3 on
+  deep panels (n=40, p=100) whose 3-way walks split many times;
+* a hypothesis test walks the tries of every family and compares each
+  child, field by field, with a from-scratch selection
+  (``tests/splitting_reference.py``): every edge of the uncapped 3-way
+  path, and on a random 2-way path cold and warm rankings, a second trie
+  reading the first one's table, caps below, at and above the candidates;
 * scope tests show that no table, and no trajectory-trie node, outlives
-  the call that opened its scope.
+  the call that opened its scope, and that no 3-way ranking outlives the
+  step that built it.
 
 Regenerate the fixture (only when a change is *meant* to alter results)::
 
@@ -21,7 +27,6 @@ Regenerate the fixture (only when a change is *meant* to alter results)::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 import threading
@@ -35,7 +40,6 @@ from hypothesis import strategies as st
 
 from repro.core import tables
 from repro.core.identity import digest_document
-from repro.core.mapping import Interval
 from repro.core.serialization import solve_result_to_dict
 from repro.core.tables import instance_tables
 from repro.experiments.ablation import (
@@ -50,17 +54,22 @@ from repro.generators.experiments import (
 from repro.heuristics import (
     Objective,
     SelectionRule,
-    SplitCandidate,
     SplittingMonoPeriod,
-    SplittingState,
     all_heuristics,
     engine,
     get_heuristic,
+    trajectory,
 )
+from repro.heuristics.base import stop_limit
 from repro.scenarios.families import FAMILIES, generate_scenarios
 from repro.server import DaemonConfig, DaemonThread, ServiceClient
 from repro.solvers.base import SolveResult
 from repro.solvers.service import solve_many
+from splitting_reference import (
+    candidate_latencies,
+    reference_step,
+    state_fields,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "heuristic_identity.json"
 
@@ -68,6 +77,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "heuristic_identity.json"
 PANELS = [(family, p) for family in ("E1", "E2", "E3", "E4") for p in (10, 100)]
 PANEL_STAGES = 12
 PANEL_INSTANCES = 2
+#: deep paper panels for the 3-way walks: E1-E4 at n=40, p=100, where H1-H3
+#: split many times over long intervals
+DEEP_PANELS = [(family, 100) for family in ("E1", "E2", "E3", "E4")]
+DEEP_STAGES = 40
+DEEP_HEURISTICS = ("H1", "H2", "H3")
 #: scenarios per communication-homogeneous family
 FAMILY_SCENARIOS = 3
 N_THRESHOLDS = 9
@@ -84,15 +98,19 @@ def _heuristics():
     ]
 
 
+def _panel_instances(panels, n_stages, seed):
+    """``(label, application, platform)`` of the paper-panel instances."""
+    out = []
+    for i, (family, p) in enumerate(panels):
+        config = experiment_config(family, n_stages, p, n_instances=PANEL_INSTANCES)
+        for inst in generate_instances(config, seed=seed + i):
+            out.append((f"{config.label}#{inst.index}", inst.application, inst.platform))
+    return out
+
+
 def _instances():
     """``(label, application, platform)`` of every golden instance."""
-    out = []
-    for i, (family, p) in enumerate(PANELS):
-        config = experiment_config(
-            family, PANEL_STAGES, p, n_instances=PANEL_INSTANCES
-        )
-        for inst in generate_instances(config, seed=100 + i):
-            out.append((f"{config.label}#{inst.index}", inst.application, inst.platform))
+    out = _panel_instances(PANELS, PANEL_STAGES, 100)
     scenarios = generate_scenarios(
         FAMILY_SCENARIOS * len(COMM_HOMOGENEOUS_FAMILIES),
         COMM_HOMOGENEOUS_FAMILIES,
@@ -124,9 +142,14 @@ def compute_digests() -> dict[str, str]:
     """``cell label -> identity digest`` over every golden cell."""
     digests: dict[str, str] = {}
     heuristics = _heuristics()
-    for label, app, platform in _instances():
+    deep = [(key, h) for key, h in heuristics if key in DEEP_HEURISTICS]
+    cases = [(instance, heuristics) for instance in _instances()] + [
+        (instance, deep)
+        for instance in _panel_instances(DEEP_PANELS, DEEP_STAGES, 200)
+    ]
+    for (label, app, platform), cell_heuristics in cases:
         periods, latencies = _thresholds(app, platform)
-        for key, heuristic in heuristics:
+        for key, heuristic in cell_heuristics:
             fixed_period = heuristic.objective == Objective.MIN_LATENCY_FOR_PERIOD
             for t, bound in enumerate(periods if fixed_period else latencies):
                 if fixed_period:
@@ -152,142 +175,9 @@ class TestGoldenIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# field-by-field parity with the per-query selection the tables replaced
+# field-by-field parity with a from-scratch selection
 # --------------------------------------------------------------------------- #
-_EPS = 1e-12
-
-
-def _reference_select(state, j, pieces, rule, latency_cap, require_improvement):
-    """The selection loop as it was before split tables (one query, no reuse)."""
-    old_cycle = state._cycles[j]
-    old_latency = state.latency
-    other_max = state._other_max_cycle(j)
-    base_latency = state._base_latency_without(j)
-
-    best = None
-    best_rank = None
-    improvement_margin = _EPS * (1.0 + old_cycle)
-    cap = None
-    if latency_cap is not None:
-        cap = latency_cap * (1 + 1e-9) + 1e-12
-
-    for piece in pieces:
-        cycles = np.vstack(piece["cycles"])
-        contribs = np.vstack(piece["contribs"])
-        local_max = cycles.max(axis=0)
-        new_latency = base_latency + contribs.sum(axis=0)
-
-        mask = np.ones(local_max.shape, dtype=bool)
-        if require_improvement:
-            mask &= local_max < old_cycle - improvement_margin
-        if cap is not None:
-            mask &= new_latency <= cap
-        if not mask.any():
-            continue
-
-        if rule == SelectionRule.MONO:
-            score = local_max
-        else:
-            delta_lat = new_latency - old_latency
-            delta_per = old_cycle - cycles
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    delta_per > improvement_margin,
-                    delta_lat[np.newaxis, :] / delta_per,
-                    np.inf,
-                )
-            score = ratios.max(axis=0)
-
-        candidate_indices = np.nonzero(mask)[0]
-        sub_rank = np.lexsort(
-            (
-                new_latency[candidate_indices],
-                local_max[candidate_indices],
-                score[candidate_indices],
-            )
-        )
-        idx = int(candidate_indices[sub_rank[0]])
-        rank = (float(score[idx]), float(local_max[idx]), float(new_latency[idx]))
-        if best_rank is None or rank < best_rank:
-            best = SplitCandidate(
-                interval_index=j,
-                new_intervals=tuple(piece["interval_builder"](idx)),
-                new_processors=tuple(piece["processors"]),
-                new_cycles=tuple(float(cycles[k, idx]) for k in range(cycles.shape[0])),
-                new_contributions=tuple(
-                    float(contribs[k, idx]) for k in range(contribs.shape[0])
-                ),
-                new_period=float(max(other_max, local_max[idx])),
-                new_latency=float(new_latency[idx]),
-                old_cycle=float(old_cycle),
-                old_latency=float(old_latency),
-                score=float(score[idx]),
-            )
-            best_rank = rank
-    return best
-
-
-def _reference_pieces(state, j, new_proc):
-    """The two orientations of splitting interval ``j`` with ``new_proc``."""
-    iv = state.intervals[j]
-    d, e = iv.start, iv.end
-    proc_j = state.processors[j]
-    s_j = float(state._speeds[proc_j])
-    s_q = float(state._speeds[new_proc])
-    cuts = np.arange(d, e)
-    in1, w1, mid = state._part_times(np.full_like(cuts, d), cuts)
-    _, w2, out2 = state._part_times(cuts + 1, np.full_like(cuts, e))
-
-    def builder(idx):
-        cut = int(cuts[idx])
-        return [Interval(d, cut), Interval(cut + 1, e)]
-
-    pieces = []
-    for first_speed, second_speed, procs in (
-        (s_j, s_q, (proc_j, new_proc)),
-        (s_q, s_j, (new_proc, proc_j)),
-    ):
-        pieces.append(
-            {
-                "cycles": [in1 + w1 / first_speed + mid, mid + w2 / second_speed + out2],
-                "contribs": [in1 + w1 / first_speed, mid + w2 / second_speed],
-                "processors": procs,
-                "interval_builder": builder,
-            }
-        )
-    return pieces
-
-
-def _reference_two_way(state, j, new_proc, rule, latency_cap, require_improvement):
-    if state.intervals[j].start == state.intervals[j].end:
-        return None
-    return _reference_select(
-        state, j, _reference_pieces(state, j, new_proc), rule, latency_cap,
-        require_improvement,
-    )
-
-
-def _candidate_latencies(state, j, new_proc, require_improvement) -> list[float]:
-    """Sorted new latencies of every candidate (the caps to probe around)."""
-    if state.intervals[j].start == state.intervals[j].end:
-        return []
-    out = set()
-    base = state._base_latency_without(j)
-    margin = _EPS * (1.0 + state._cycles[j])
-    for piece in _reference_pieces(state, j, new_proc):
-        local_max = np.vstack(piece["cycles"]).max(axis=0)
-        latency = base + np.vstack(piece["contribs"]).sum(axis=0)
-        if require_improvement:
-            latency = latency[local_max < state._cycles[j] - margin]
-        out.update(latency.tolist())
-    return sorted(out)
-
-
-def _fields(candidate):
-    """Every field of a candidate as exact reprs (bitwise float equality)."""
-    if candidate is None:
-        return None
-    return {f.name: repr(getattr(candidate, f.name)) for f in dataclasses.fields(candidate)}
+RULES = [SelectionRule.MONO, SelectionRule.RATIO]
 
 
 def _caps(latencies: list[float], data) -> list[float | None]:
@@ -310,6 +200,10 @@ def _caps(latencies: list[float], data) -> list[float | None]:
     return caps
 
 
+def _child(node, cap):
+    return node.child(None if cap is None else stop_limit(cap))
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -320,50 +214,42 @@ def _caps(latencies: list[float], data) -> list[float | None]:
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_best_two_way_split_matches_the_reference_selection(family, seed, data):
+def test_trie_children_match_the_reference_selection(family, seed, data):
     app, platform = FAMILIES[family].build(np.random.default_rng(seed))
+    inst = engine._Instance(app, platform)
+    rule = data.draw(st.sampled_from(RULES), label="rule")
     with instance_tables():
-        state = SplittingState(app, platform)
-        initial = None
-        if state.n_unused:
-            # fill the initial state's table entry; a twin state reads it below
-            initial = (0, state.next_unused(1)[0])
-            state.best_two_way_split(*initial)
-        # walk to a random state through reference-selected splits
+        # every edge of the uncapped 3-way path
+        node = trajectory(app, platform, rule, 3)
+        while node is not None:
+            got = node.child(None)
+            assert state_fields(got) == state_fields(
+                reference_step(inst, node, rule, 3, None)
+            ), (family, seed, rule, node.depth)
+            node = got
+        # a random capped walk down the 2-way trie; at each node the first
+        # cap queries a cold ranking, every later one a warm one
+        node = trajectory(app, platform, rule)
         for _ in range(data.draw(st.integers(0, 6), label="walk")):
-            unused = state.next_unused(1)
-            if not unused:
+            children = []
+            for cap in _caps(candidate_latencies(inst, node, 2), data):
+                got = _child(node, cap)
+                want = reference_step(inst, node, rule, 2, cap)
+                assert state_fields(got) == state_fields(want), (family, seed, rule, cap)
+                if got is not None:
+                    children.append(got)
+            if not children:
                 break
-            j = data.draw(st.integers(0, state.n_intervals - 1), label="walk j")
-            rule = data.draw(st.sampled_from([SelectionRule.MONO, SelectionRule.RATIO]))
-            step = _reference_two_way(state, j, unused[0], rule, None, True)
-            if step is not None:
-                state.apply(step)
-        n_unused = state.n_unused
-        if n_unused == 0:
-            return
-        for _ in range(data.draw(st.integers(1, 4), label="queries")):
-            j = data.draw(st.integers(0, state.n_intervals - 1), label="j")
-            new_proc = state.next_unused(n_unused)[
-                data.draw(st.integers(0, n_unused - 1), label="new proc")
-            ]
-            rule = data.draw(st.sampled_from([SelectionRule.MONO, SelectionRule.RATIO]))
-            require = data.draw(st.booleans(), label="require_improvement")
-            latencies = _candidate_latencies(state, j, new_proc, require)
-            # the first cap queries a cold table, every later one a warm one
-            for cap in _caps(latencies, data):
-                got = state.best_two_way_split(
-                    j, new_proc, rule=rule, latency_cap=cap, require_improvement=require
-                )
-                want = _reference_two_way(state, j, new_proc, rule, cap, require)
-                assert _fields(got) == _fields(want), (family, seed, j, rule, require, cap)
-        # a second state of the same pair reads the table the first one filled
-        if initial is not None:
-            twin = SplittingState(app, platform)
-            for cap in (None, twin.latency * 1.2):
-                got = twin.best_two_way_split(*initial, latency_cap=cap)
-                want = _reference_two_way(twin, *initial, SelectionRule.MONO, cap, True)
-                assert _fields(got) == _fields(want)
+            node = children[data.draw(st.integers(0, len(children) - 1), label="next")]
+        # a trie under an explicit order reads the rankings tabled above
+        order = tuple(platform.processors_by_speed(descending=True))
+        twin = trajectory(app, platform, rule, 2, order)
+        assert twin is not trajectory(app, platform, rule)
+        for cap in (None, twin.latency * 1.2):
+            got = _child(twin, cap)
+            assert state_fields(got) == state_fields(
+                reference_step(inst, twin, rule, 2, cap)
+            )
 
 
 @pytest.mark.parametrize(
@@ -380,25 +266,25 @@ def test_best_two_way_split_matches_the_reference_selection(family, seed, data):
 )
 def test_the_rank_floats_are_part_of_the_key(perturb):
     """Same split geometry, one different state float: a fresh ranking."""
-    config = experiment_config("E2", 12, 6, n_instances=1)
+    config = experiment_config("E1", 12, 6, n_instances=1)
     inst = generate_instances(config, seed=9)[0]
     app, platform = inst.application, inst.platform
 
-    def split_once():
-        state = SplittingState(app, platform)
-        state.apply(state.best_two_way_split(0, state.next_unused(1)[0]))
-        return state
-
     with instance_tables():
-        first = split_once()
-        j = 0  # the long interval: it has improving splits
-        query = (j, first.next_unused(1)[0], SelectionRule.RATIO)
-        first.best_two_way_split(*query)
-        other = split_once()
-        perturb(other._cycles, other._contribs, j)
-        got = other.best_two_way_split(*query)
+        first = trajectory(app, platform, SelectionRule.RATIO).child(None)
+        assert first.child(None) is not None  # tables the bottleneck split
+        j = int(np.argmax(first.cycles))
+        cycles, contribs = list(first.cycles), list(first.contribs)
+        perturb(cycles, contribs, j)
+        other = engine.TrajectoryNode(
+            first._trie, first.intervals, first.processors, tuple(cycles),
+            tuple(contribs), first.unused, (),
+        )
+        got = other.child(None)
         assert got is not None
-        assert _fields(got) == _fields(_reference_two_way(other, *query, None, True))
+        assert other._split[1] is not first._split[1]
+        want = reference_step(engine._Instance(app, platform), other, SelectionRule.RATIO, 2, None)
+        assert state_fields(got) == state_fields(want)
 
 
 # --------------------------------------------------------------------------- #
@@ -450,8 +336,22 @@ def nodes_seen(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def rankings_seen(monkeypatch):
+    """``(weak reference, parts per split)`` of every split ranking built."""
+    seen = []
+
+    class Recording(engine._Ranking):
+        def __init__(self, inst, d, e, procs, *args):
+            super().__init__(inst, d, e, procs, *args)
+            seen.append((weakref.ref(self), len(procs)))
+
+    monkeypatch.setattr(engine, "_Ranking", Recording)
+    return seen
+
+
 def _assert_dropped(seen, nodes=()):
-    assert seen, "no splitting state was built"
+    assert seen, "no trajectory was built"
     assert tables._TABLES.get() is None
     assert all(ref() is None for ref, _, _, _ in seen)
     assert all(ref() is None for ref in nodes), "a trie node outlived its scope"
@@ -482,6 +382,19 @@ class TestScope:
         assert nodes_seen
         _assert_dropped(tables_seen, nodes_seen)
 
+    def test_three_way_nodes_die_with_their_scope(
+        self, pair, tables_seen, nodes_seen, rankings_seen
+    ):
+        with instance_tables():
+            for key in ("H2", "H3"):
+                get_heuristic(key).run(*pair, period_bound=1e-9)
+            three_way = [ref for ref, parts in rankings_seen if parts == 3]
+            assert len(nodes_seen) > 2  # both walks split
+            # a 3-way ranking is dropped as soon as its node's child exists
+            assert three_way and all(ref() is None for ref in three_way)
+        assert all(parts == 3 for _, parts in rankings_seen)
+        _assert_dropped(tables_seen, nodes_seen)
+
     def test_no_table_survives_run_sweep(self, tables_seen, nodes_seen):
         config = experiment_config("E1", 8, 5, n_instances=2)
         run_sweep(config, n_thresholds=3, seed=1)
@@ -496,12 +409,14 @@ class TestScope:
             get_heuristic("H6").run(*pair, latency_bound=pair[0].total_work)
             # the run joined the open scope: its table is still here
             assert list(outer) == [(id(pair[0]), id(pair[1]))]
-            state = SplittingState(*pair)
-            assert state._tables is outer[(id(pair[0]), id(pair[1]))]
+            entry = outer[(id(pair[0]), id(pair[1]))]
+            root = trajectory(*pair, SelectionRule.RATIO)
+            assert entry.trajectories == {(SelectionRule.RATIO, 2, None): root}
         assert tables._TABLES.get() is None
 
-    def test_a_state_outside_any_scope_gets_a_private_table(self, pair):
-        assert SplittingState(*pair)._tables is not SplittingState(*pair)._tables
+    def test_a_trie_outside_any_scope_is_private(self, pair):
+        rule = SelectionRule.MONO
+        assert trajectory(*pair, rule) is not trajectory(*pair, rule)
 
     def test_daemon_solver_thread_gets_its_own_scope(
         self, tmp_path, pair, tables_seen, nodes_seen

@@ -1,20 +1,21 @@
-"""Trajectory tries: walking shared states changes no H4–H6 result.
+"""Trajectory tries: walking shared states changes no heuristic result.
 
-H4's splitting passes and the H5/H6 loop walk the instance's trajectory
-trie (:func:`repro.heuristics.engine.trajectory`) instead of replaying a
-mutable :class:`~repro.heuristics.engine.SplittingState` from scratch.
-These tests pin that down:
+Every heuristic of Section 4 — H1–H3 to their period, H4's splitting
+passes, the H5/H6 loop — walks the instance's trajectory trie
+(:func:`repro.heuristics.engine.trajectory`) instead of replaying its
+split loop from scratch.  These tests pin that down:
 
-* a hypothesis test compares every walk, field by field, with verbatim
-  copies of the loops the trie replaced, run outside any table scope, on
-  every communication-homogeneous scenario family, at latency caps and
-  period bounds on, just inside and just outside the values where the
-  walk changes course;
-* node-count tests show that a campaign builds one node per distinct
-  trajectory prefix, and that repeating it in the same scope builds none.
+* a hypothesis test compares every walk, field by field, with loops that
+  take each step from scratch (``tests/splitting_reference.py``), run
+  outside any table scope, on every communication-homogeneous scenario
+  family, at latency caps and period bounds on, just inside and just
+  outside the values where the walk changes course;
+* node-count tests show that a campaign of H1–H6 builds one node per
+  distinct trajectory prefix of each trie — per (rule, width, processor
+  order) — and that repeating it in the same scope builds none.
 
 The golden fixture of ``tests/test_split_table.py`` pins the results of
-H4–H6 on the paper panels as well.
+H1–H6 on the paper panels as well.
 """
 
 from __future__ import annotations
@@ -29,68 +30,60 @@ from hypothesis import strategies as st
 from repro.core import tables
 from repro.core.tables import instance_tables, tables_for
 from repro.generators.experiments import experiment_config, generate_instances
-from repro.heuristics import (
-    SelectionRule,
-    SplittingState,
-    get_heuristic,
-)
+from repro.heuristics import SelectionRule, get_heuristic, trajectory
 from repro.heuristics.base import reached, stop_limit
-from repro.heuristics.engine import trajectory
 from repro.scenarios.families import FAMILIES
+from splitting_reference import initial_state, reference_walk
 
 COMM_HOMOGENEOUS_FAMILIES = [
     name for name in FAMILIES if name != "heterogeneous-links"
 ]
 
+#: the trie each heuristic walks: ``(rule, width)``
+WALKS = {
+    "H1": (SelectionRule.MONO, 2),
+    "H2": (SelectionRule.MONO, 3),
+    "H3": (SelectionRule.RATIO, 3),
+    "H4": (SelectionRule.RATIO, 2),
+    "H5": (SelectionRule.MONO, 2),
+    "H6": (SelectionRule.RATIO, 2),
+}
+
 
 # --------------------------------------------------------------------------- #
-# the loops the trie replaced, verbatim, plus a record of the prefixes walked
+# the heuristics with every step taken from scratch, outside any scope
 # --------------------------------------------------------------------------- #
-def _visit(seen, path, state):
-    """Extend ``path`` by ``state`` and count the prefix in ``seen``."""
-    path = path + ((tuple(state.intervals), tuple(state.processors)),)
-    if seen is not None:
-        seen[path] += 1
-    return path
+def _recorder(seen):
+    """A ``visit`` callback counting every trajectory prefix in ``seen``."""
+    if seen is None:
+        return None
+    path = []
+
+    def visit(state):
+        path.append((state.intervals, state.processors))
+        seen[tuple(path)] += 1
+
+    return visit
 
 
 def _reference_pass(app, platform, period_bound, authorized_latency, seen=None):
-    """H4's splitting pass before the trie."""
+    """One H4 splitting pass."""
     assert tables._TABLES.get() is None, "the reference runs outside any scope"
-    state = SplittingState(app, platform)
-    path = _visit(seen, (), state)
-    history = [state.point()]
-    n_splits = 0
-    while not reached(state.period, period_bound):
-        unused = state.next_unused(1)
-        if not unused:
-            break
-        j = state.bottleneck_index
-        candidate = state.best_two_way_split(
-            j,
-            unused[0],
-            rule=SelectionRule.RATIO,
-            latency_cap=authorized_latency,
-            require_improvement=True,
-        )
-        if candidate is None:
-            break
-        state.apply(candidate)
-        path = _visit(seen, path, state)
-        n_splits += 1
-        history.append(state.point())
-    return state, n_splits, history
+    return reference_walk(
+        app, platform, SelectionRule.RATIO, 2, period_bound, authorized_latency,
+        _recorder(seen),
+    )
 
 
 def _reference_h4(app, platform, bound, seen=None):
-    """H4's ``_solve`` before the trie."""
+    """H4's ``_solve``: an unconstrained pass, then the latency bisection."""
     h4 = get_heuristic("H4")
     state, n_splits, history = _reference_pass(app, platform, bound, None, seen)
     if not reached(state.period, bound):
         return h4._make_result(app, platform, state.mapping(), bound, n_splits, history)
 
     best_state, best_splits, best_history = state, n_splits, history
-    lo = SplittingState(app, platform).latency
+    lo = history[0][1]
     hi = state.latency
     for _ in range(h4.n_search_iterations):
         if hi - lo <= h4.search_rel_tol * max(1.0, hi):
@@ -114,44 +107,46 @@ def _reference_h4(app, platform, bound, seen=None):
     )
 
 
-def _reference_fixed_latency(key, app, platform, bound, seen=None):
-    """The H5/H6 ``_solve`` before the trie."""
+def _reference_fixed_period(key, app, platform, bound, seen=None):
+    """H1–H3: split uncapped until the period is reached."""
     assert tables._TABLES.get() is None, "the reference runs outside any scope"
-    heuristic = get_heuristic(key)
-    state = SplittingState(app, platform)
-    path = _visit(seen, (), state)
-    history = [state.point()]
-    n_splits = 0
-    if reached(state.latency, bound):
-        while True:
-            unused = state.next_unused(1)
-            if not unused:
-                break
-            j = state.bottleneck_index
-            candidate = state.best_two_way_split(
-                j,
-                unused[0],
-                rule=heuristic.rule,
-                latency_cap=bound,
-                require_improvement=True,
-            )
-            if candidate is None:
-                break
-            state.apply(candidate)
-            path = _visit(seen, path, state)
-            n_splits += 1
-            history.append(state.point())
-    return heuristic._make_result(app, platform, state.mapping(), bound, n_splits, history)
+    rule, width = WALKS[key]
+    state, n_splits, history = reference_walk(
+        app, platform, rule, width, bound, None, _recorder(seen)
+    )
+    return get_heuristic(key)._make_result(
+        app, platform, state.mapping(), bound, n_splits, history
+    )
+
+
+def _reference_fixed_latency(key, app, platform, bound, seen=None):
+    """H5/H6: split under the latency bound until the walk stalls."""
+    assert tables._TABLES.get() is None, "the reference runs outside any scope"
+    rule, width = WALKS[key]
+    visit = _recorder(seen)
+    if reached(initial_state(app, platform).latency, bound):
+        state, n_splits, history = reference_walk(
+            app, platform, rule, width, None, bound, visit
+        )
+    else:  # even the initial mapping is too slow: a period bound that stops at once
+        state, n_splits, history = reference_walk(
+            app, platform, rule, width, float("inf"), None, visit
+        )
+    return get_heuristic(key)._make_result(
+        app, platform, state.mapping(), bound, n_splits, history
+    )
 
 
 def _reference(query, app, platform):
-    """A query answered by the replaced loops (outside any scope)."""
+    """A query answered by the from-scratch loops (outside any scope)."""
     kind, bound, cap = query
     if kind == "pass":
         state, n_splits, history = _reference_pass(app, platform, bound, cap)
         return (state.mapping(), n_splits, history)
     if kind == "H4":
         return _reference_h4(app, platform, bound)
+    if kind in ("H1", "H2", "H3"):
+        return _reference_fixed_period(kind, app, platform, bound)
     return _reference_fixed_latency(kind, app, platform, bound)
 
 
@@ -160,10 +155,10 @@ def _walk(query, app, platform):
     kind, bound, cap = query
     if kind == "pass":
         root = trajectory(app, platform, SelectionRule.RATIO)
-        node = get_heuristic("H4")._splitting_pass(root, bound, cap)
+        node = root.walk(bound, None if cap is None else stop_limit(cap))
         return (node.mapping(), node.depth, list(node.history))
-    if kind == "H4":
-        return get_heuristic("H4").run(app, platform, period_bound=bound)
+    if kind in ("H1", "H2", "H3", "H4"):
+        return get_heuristic(kind).run(app, platform, period_bound=bound)
     return get_heuristic(kind).run(app, platform, latency_bound=bound)
 
 
@@ -245,6 +240,11 @@ def test_trie_walks_match_the_replaced_loops(family, seed, data):
     for key, floors in (("H5", mono_floors), ("H6", ratio_floors)):
         for floor in _draw(data, floors, 3, f"{key} floors"):
             queries += [(key, b, None) for b in _bounds_around(floor) if b > 0]
+    for key in ("H1", "H2", "H3"):
+        rule, width = WALKS[key]
+        _, _, history = reference_walk(app, platform, rule, width, None, None)
+        for period in _draw(data, [point[0] for point in history], 2, f"{key} periods"):
+            queries += [(key, b, None) for b in _bounds_around(period) if b > 0]
     periods = _draw(data, ratio_periods, 2, "H4 periods")
     for period in periods:
         queries += [("H4", b, None) for b in _bounds_around(period) if b > 0]
@@ -276,7 +276,7 @@ def _nodes(root) -> int:
 
 
 def _campaign():
-    """Small paper panels: instances and each instance's H4–H6 bounds."""
+    """Small paper panels: instances and each instance's period and latency bounds."""
     out = []
     for family, p in (("E1", 10), ("E2", 6), ("E3", 10), ("E4", 6)):
         config = experiment_config(family, 14, p, n_instances=2)
@@ -284,7 +284,7 @@ def _campaign():
             app, platform = inst.application, inst.platform
             with instance_tables():
                 root = trajectory(app, platform, SelectionRule.RATIO)
-                fastest = get_heuristic("H4")._splitting_pass(root, 0.0, None)
+                fastest = root.walk()
             periods = np.linspace(0.9 * fastest.period, 1.05 * root.period, 8)
             latencies = np.linspace(0.95 * root.latency, 1.1 * fastest.latency, 8)
             out.append((app, platform, periods.tolist(), latencies.tolist()))
@@ -293,37 +293,46 @@ def _campaign():
 
 def _run_campaign(campaign):
     for app, platform, periods, latencies in campaign:
-        for bound in periods:
-            get_heuristic("H4").run(app, platform, period_bound=bound)
+        for key in ("H1", "H2", "H3", "H4"):
+            for bound in periods:
+                get_heuristic(key).run(app, platform, period_bound=bound)
         for key in ("H5", "H6"):
             for bound in latencies:
                 get_heuristic(key).run(app, platform, latency_bound=bound)
 
 
-def _trie_nodes(campaign) -> dict[tuple[int, str], int]:
+def _trie_nodes(campaign) -> dict[tuple[int, tuple], int]:
+    """Nodes built per (instance, trie key ``(rule, width, order)``)."""
     return {
-        (i, rule): _nodes(root)
+        (i, key): _nodes(root)
         for i, (app, platform, _, _) in enumerate(campaign)
-        for rule, root in tables_for(app, platform).trajectories.items()
+        for key, root in tables_for(app, platform).trajectories.items()
     }
 
 
 def test_a_campaign_builds_one_node_per_distinct_prefix():
     campaign = _campaign()
-    prefixes: dict[tuple[int, str], Counter] = {}
+    prefixes: dict[tuple[int, tuple], Counter] = {}
     for i, (app, platform, periods, latencies) in enumerate(campaign):
-        ratio = prefixes.setdefault((i, SelectionRule.RATIO), Counter())
-        mono = prefixes.setdefault((i, SelectionRule.MONO), Counter())
+
+        def seen(key):
+            rule, width = WALKS[key]
+            return prefixes.setdefault((i, (rule, width, None)), Counter())
+
         for bound in periods:
-            _reference_h4(app, platform, bound, ratio)
+            for key in ("H1", "H2", "H3"):
+                _reference_fixed_period(key, app, platform, bound, seen(key))
+            _reference_h4(app, platform, bound, seen("H4"))
         for bound in latencies:
-            _reference_fixed_latency("H5", app, platform, bound, mono)
-            _reference_fixed_latency("H6", app, platform, bound, ratio)
+            for key in ("H5", "H6"):
+                _reference_fixed_latency(key, app, platform, bound, seen(key))
     with instance_tables():
         _run_campaign(campaign)
         built = _trie_nodes(campaign)
     assert built == {key: len(seen) for key, seen in prefixes.items()}
-    # the replaced loops visited the same states several times over
+    # every heuristic walked a trie: 2-way and 3-way, under both rules
+    assert {key for _, key in built} == {(rule, width, None) for rule, width in WALKS.values()}
+    # the from-scratch loops visited the same states several times over
     visits = sum(sum(seen.values()) for seen in prefixes.values())
     assert visits > 3 * sum(built.values())
 
