@@ -8,7 +8,6 @@ utilities used by the experiment harness.
 from .application import PipelineApplication, Stage
 from .costs import (
     BatchEvaluation,
-    IntervalCost,
     MappingEvaluation,
     evaluate,
     evaluate_batch,
@@ -94,7 +93,6 @@ __all__ = [
     "IntervalMapping",
     # costs
     "BatchEvaluation",
-    "IntervalCost",
     "MappingEvaluation",
     "evaluate",
     "evaluate_batch",

@@ -20,7 +20,7 @@ heavily by the splitting heuristics) and aggregate evaluation returning a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .mapping import Interval, IntervalMapping
 from .platform import Platform
 
 __all__ = [
-    "IntervalCost",
     "MappingEvaluation",
     "BatchEvaluation",
     "interval_compute_time",
@@ -49,57 +48,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class IntervalCost:
-    """Cost breakdown of one interval of a mapping.
-
-    Attributes
-    ----------
-    interval:
-        The stage interval.
-    processor:
-        Processor executing the interval.
-    input_time / compute_time / output_time:
-        The three terms of the interval's cycle time: incoming communication,
-        computation, and outgoing communication.
-    """
-
-    interval: Interval
-    processor: int
-    input_time: float
-    compute_time: float
-    output_time: float
-
-    @property
-    def cycle_time(self) -> float:
-        """Cycle time of the interval (its contribution to the period)."""
-        return self.input_time + self.compute_time + self.output_time
-
-    @property
-    def latency_contribution(self) -> float:
-        """Contribution of the interval to the latency (eq. 2 term)."""
-        return self.input_time + self.compute_time
-
-
-@dataclass(frozen=True)
 class MappingEvaluation:
     """Aggregate evaluation of a mapping under the analytical model."""
 
     period: float
     latency: float
-    interval_costs: tuple[IntervalCost, ...] = field(default_factory=tuple)
-
-    @property
-    def bottleneck_interval(self) -> int:
-        """Index of the interval achieving the period (first one on ties)."""
-        best, best_cost = 0, float("-inf")
-        for j, cost in enumerate(self.interval_costs):
-            if cost.cycle_time > best_cost:
-                best, best_cost = j, cost.cycle_time
-        return best
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.interval_costs)
 
     def dominates(self, other: "MappingEvaluation", tol: float = 1e-12) -> bool:
         """Pareto dominance: no worse on both criteria, better on at least one."""
@@ -155,46 +108,67 @@ def interval_cycle_time(
     platforms they only matter when they equal ``processor`` (free transfer);
     on fully heterogeneous platforms they select the link bandwidth.
     """
-    cost = _interval_cost(app, platform, interval, processor, predecessor, successor)
-    return cost.cycle_time
+    return _terms_of(app, platform, interval, processor, predecessor, successor)[0]
 
 
-def _interval_cost(
+def _interval_terms(
+    delta_in: float,
+    delta_out: float,
+    work: float,
+    speed: float,
+    b_in: float,
+    b_out: float,
+) -> tuple[float, float, float]:
+    """``(cycle time, latency contribution, output time)`` of one interval.
+
+    ``work`` is the interval's work sum ``prefix[e + 1] - prefix[d]``, and
+    ``delta_in`` / ``delta_out`` cross links of bandwidth ``b_in`` /
+    ``b_out``.  The one place the package computes these per-interval
+    terms on scalars: :func:`evaluate` and the helpers below, and the
+    incremental scoring of
+    :class:`~repro.extensions.heterogeneous_links.HeterogeneousSplittingPeriod`,
+    all call it, so their floats agree bit for bit.
+    """
+    input_time = 0.0 if delta_in == 0 else delta_in / b_in
+    output_time = 0.0 if delta_out == 0 else delta_out / b_out
+    contribution = input_time + work / speed
+    return contribution + output_time, contribution, output_time
+
+
+def _terms_of(
     app: PipelineApplication,
     platform: Platform,
     interval: Interval,
     processor: int,
     predecessor: int | None,
     successor: int | None,
-) -> IntervalCost:
-    delta_in = app.comm(interval.start)
-    delta_out = app.comm(interval.end + 1)
-    b_in = _input_bandwidth(platform, processor, predecessor)
-    b_out = _output_bandwidth(platform, processor, successor)
-    input_time = 0.0 if delta_in == 0 else delta_in / b_in
-    output_time = 0.0 if delta_out == 0 else delta_out / b_out
-    return IntervalCost(
-        interval=interval,
-        processor=processor,
-        input_time=input_time,
-        compute_time=interval_compute_time(app, platform, interval, processor),
-        output_time=output_time,
+) -> tuple[float, float, float]:
+    """:func:`_interval_terms` of ``interval`` on ``processor`` between its neighbours."""
+    return _interval_terms(
+        app.comm(interval.start),
+        app.comm(interval.end + 1),
+        app.work_sum(interval.start, interval.end),
+        platform.speed(processor),
+        _input_bandwidth(platform, processor, predecessor),
+        _output_bandwidth(platform, processor, successor),
     )
 
 
-def _all_interval_costs(
+def _mapping_terms(
     app: PipelineApplication, platform: Platform, mapping: IntervalMapping
-) -> list[IntervalCost]:
+) -> list[tuple[float, float, float]]:
+    """:func:`_interval_terms` of every interval of ``mapping``, validated first."""
     mapping.validate(app, platform)
-    costs: list[IntervalCost] = []
-    m = mapping.n_intervals
-    for j, (interval, proc) in enumerate(mapping.items()):
-        predecessor = mapping.processor_of_interval(j - 1) if j > 0 else None
-        successor = mapping.processor_of_interval(j + 1) if j < m - 1 else None
-        costs.append(
-            _interval_cost(app, platform, interval, proc, predecessor, successor)
+    procs = mapping.processors
+    last = len(procs) - 1
+    return [
+        _terms_of(
+            app, platform, interval, proc,
+            procs[j - 1] if j > 0 else None,
+            procs[j + 1] if j < last else None,
         )
-    return costs
+        for j, (interval, proc) in enumerate(zip(mapping.intervals, procs))
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +178,7 @@ def period(
     app: PipelineApplication, platform: Platform, mapping: IntervalMapping
 ) -> float:
     """Period of the mapping, eq. (1): the largest interval cycle time."""
-    return max(c.cycle_time for c in _all_interval_costs(app, platform, mapping))
+    return max(cycle for cycle, _, _ in _mapping_terms(app, platform, mapping))
 
 
 def latency(
@@ -215,31 +189,32 @@ def latency(
     Sum over intervals of (input communication + computation), plus the final
     output communication ``delta_n / b``.
     """
-    return _latency_sum(_all_interval_costs(app, platform, mapping))
+    return _latency_sum(_mapping_terms(app, platform, mapping))
 
 
 def evaluate(
     app: PipelineApplication, platform: Platform, mapping: IntervalMapping
 ) -> MappingEvaluation:
     """Evaluate period and latency in a single pass."""
-    costs = _all_interval_costs(app, platform, mapping)
-    per = max(c.cycle_time for c in costs)
-    lat = _latency_sum(costs)
-    return MappingEvaluation(period=per, latency=lat, interval_costs=tuple(costs))
+    terms = _mapping_terms(app, platform, mapping)
+    return MappingEvaluation(
+        period=max(cycle for cycle, _, _ in terms), latency=_latency_sum(terms)
+    )
 
 
-def _latency_sum(costs: Sequence[IntervalCost]) -> float:
+def _latency_sum(terms: Sequence[tuple[float, float, float]]) -> float:
     """Eq. (2) added left to right, then the last output.
 
     Every evaluator of the package (:func:`evaluate_packed`, the local
-    search's :class:`~repro.solvers.moves.MappingState`) adds in this order,
-    so their latencies equal this one bit for bit.  Not ``sum()``: from
-    Python 3.12 it compensates float rounding, which changes the last bits.
+    search's :class:`~repro.solvers.moves.MappingState`, X1's incremental
+    scoring) adds in this order, so their latencies equal this one bit for
+    bit.  Not ``sum()``: from Python 3.12 it compensates float rounding,
+    which changes the last bits.
     """
     total = 0.0
-    for cost in costs:
-        total += cost.latency_contribution
-    return total + costs[-1].output_time
+    for _, contribution, _ in terms:
+        total += contribution
+    return total + terms[-1][2]
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.application import PipelineApplication
 from repro.core.costs import (
+    _interval_terms,
     evaluate,
     interval_compute_time,
     interval_cycle_time,
@@ -35,8 +36,6 @@ class TestSingleInterval:
         ev = evaluate(small_app, small_platform, single_interval_mapping)
         assert ev.period == pytest.approx(7.0)
         assert ev.latency == pytest.approx(7.0)
-        assert ev.n_intervals == 1
-        assert ev.bottleneck_interval == 0
 
 
 class TestTwoIntervals:
@@ -53,15 +52,22 @@ class TestTwoIntervals:
     def test_latency(self, small_app, small_platform, two_interval_mapping):
         assert latency(small_app, small_platform, two_interval_mapping) == pytest.approx(11.1)
 
-    def test_interval_costs_breakdown(self, small_app, small_platform, two_interval_mapping):
-        ev = evaluate(small_app, small_platform, two_interval_mapping)
-        first, second = ev.interval_costs
-        assert first.input_time == pytest.approx(1.0)
-        assert first.compute_time == pytest.approx(1.5)
-        assert first.output_time == pytest.approx(0.6)
-        assert first.cycle_time == pytest.approx(3.1)
-        assert second.cycle_time == pytest.approx(8.6)
-        assert ev.bottleneck_interval == 1
+    def test_interval_terms_breakdown(self, small_app, small_platform):
+        # interval 0: delta_0 = 10 in at b = 10, work 6 at speed 4, delta_2 = 6 out
+        cycle, contribution, output = _interval_terms(10.0, 6.0, 6.0, 4.0, 10.0, 10.0)
+        assert output == pytest.approx(0.6)
+        assert contribution == pytest.approx(1.0 + 1.5)
+        assert cycle == pytest.approx(3.1)
+        assert interval_cycle_time(
+            small_app, small_platform, Interval(0, 1), 0, None, 1
+        ) == cycle
+        assert interval_cycle_time(
+            small_app, small_platform, Interval(2, 3), 1, 0, None
+        ) == pytest.approx(8.6)
+
+    def test_zero_communication_is_free(self):
+        _, contribution, output = _interval_terms(0.0, 0.0, 6.0, 4.0, 0.0, 0.0)
+        assert (contribution, output) == (1.5, 0.0)
 
     def test_latency_counts_only_crossed_boundaries(self, small_app, small_platform):
         """Intra-interval communications are free (they never appear)."""
@@ -85,16 +91,25 @@ class TestHelpers:
         ev = evaluate(small_app, small_platform, mapping)
         c0 = interval_cycle_time(small_app, small_platform, Interval(0, 0), 1, None, 0)
         c1 = interval_cycle_time(small_app, small_platform, Interval(1, 3), 0, 1, None)
-        assert ev.interval_costs[0].cycle_time == pytest.approx(c0)
-        assert ev.interval_costs[1].cycle_time == pytest.approx(c1)
+        assert ev.period == max(c0, c1)
+        assert period(small_app, small_platform, mapping) == max(c0, c1)
 
     def test_latency_adds_eq2_left_to_right(self, small_app, small_platform):
         mapping = IntervalMapping([(0, 0), (1, 1), (2, 3)], [0, 2, 1])
         ev = evaluate(small_app, small_platform, mapping)
+        app, platform, procs = small_app, small_platform, mapping.processors
         total = 0.0
-        for cost in ev.interval_costs:
-            total += cost.input_time + cost.compute_time
-        expected = total + ev.interval_costs[-1].output_time
+        for j, iv in enumerate(mapping.intervals):
+            _, contribution, output = _interval_terms(
+                app.comm(iv.start),
+                app.comm(iv.end + 1),
+                app.work_sum(iv.start, iv.end),
+                platform.speed(procs[j]),
+                platform.input_bandwidth if j == 0 else platform.bandwidth(procs[j - 1], procs[j]),
+                platform.output_bandwidth if j == 2 else platform.bandwidth(procs[j], procs[j + 1]),
+            )
+            total += contribution
+        expected = total + output
         assert ev.latency == expected
         assert latency(small_app, small_platform, mapping) == expected
 

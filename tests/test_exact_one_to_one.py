@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from repro.core.application import PipelineApplication
-from repro.core.costs import evaluate
+from repro.core.costs import evaluate, interval_cycle_time
 from repro.core.exceptions import InfeasibleError
 from repro.core.mapping import IntervalMapping
 from repro.core.platform import Platform
@@ -45,9 +45,14 @@ class TestCycleMatrix:
         app, platform = random_instance(4, 6, seed=0)
         cycles = one_to_one_cycle_matrix(app, platform)
         mapping = IntervalMapping.one_to_one([3, 0, 5, 2])
-        ev = evaluate(app, platform, mapping)
-        for k, proc in enumerate(mapping.processors):
-            assert ev.interval_costs[k].cycle_time == pytest.approx(cycles[k, proc])
+        procs = mapping.processors
+        for k, (interval, proc) in enumerate(mapping.items()):
+            cycle = interval_cycle_time(
+                app, platform, interval, proc,
+                procs[k - 1] if k > 0 else None,
+                procs[k + 1] if k + 1 < len(procs) else None,
+            )
+            assert cycle == pytest.approx(cycles[k, proc])
 
 
 class TestMinPeriod:

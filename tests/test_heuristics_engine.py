@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.application import PipelineApplication
-from repro.core.costs import evaluate
+from repro.core.costs import evaluate, interval_cycle_time
 from repro.core.exceptions import InvalidPlatformError
 from repro.core.platform import Platform
 from repro.extensions.replication import evaluate_replicated, from_interval_mapping
@@ -70,8 +70,11 @@ class TestTwoWaySplit:
                 mapping = root.mapping().replace(
                     0, [(iv.start, cut), (cut + 1, iv.end)], procs
                 )
-                ev = evaluate(app, platform, mapping)
-                touched = max(c.cycle_time for c in ev.interval_costs)
+                (left, right), (pl, pr) = mapping.intervals, mapping.processors
+                touched = max(
+                    interval_cycle_time(app, platform, left, pl, None, pr),
+                    interval_cycle_time(app, platform, right, pr, pl, None),
+                )
                 assert touched >= max(best.cycles) - 1e-9
 
     def test_latency_cap_filters_candidates(self, medium_instance):
