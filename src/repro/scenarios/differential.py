@@ -30,9 +30,13 @@ identifier (used by the shrinker to preserve the *same* disagreement while
 minimising the instance) and a human-readable detail.  Solver exceptions are
 failures too (``solver-crash``), never harness crashes.
 
-Numeric tolerances: same-implementation comparisons use ``1e-9`` relative;
-cross-implementation equalities use ``1e-6``; the bisection-based
-``bitmask-dp-period-for-latency`` is allowed its documented ``1e-5`` band;
+Numeric tolerances: a reported period or latency must equal its
+recomputation exactly, because every evaluator of the package computes the
+per-interval terms the same way and adds eq. (2) in the same order; the
+synchronous and event-driven simulations reproduce the analytical metrics
+within ``1e-9`` relative; cross-implementation equalities use ``1e-6``;
+the bisection-based ``bitmask-dp-period-for-latency`` is allowed its
+documented ``1e-5`` band;
 feasibility-flag comparisons ignore disagreements within ``1e-7`` of the
 threshold (different solvers use different epsilon conventions at the exact
 boundary).
@@ -71,7 +75,7 @@ _BITMASK_MAX_PROCS = 8
 _LS_MAX_STAGES = 16
 _LS_MAX_PROCS = 12
 
-_REL = 1e-9          # same-kernel recomputation
+_REL = 1e-9          # simulated against analytical metrics
 _LOOSE_REL = 1e-6    # cross-implementation equality of optima
 _BISECT_REL = 1e-5   # bisection band of bitmask-dp-period-for-latency
 _MARGIN = 1e-7       # feasibility-flag guard near the threshold
@@ -206,12 +210,12 @@ def _structural(
     if recompute:
         ev = evaluate(app, platform, result.mapping)
         sess.expect(
-            _close(result.period, ev.period, _REL),
+            result.period == ev.period,
             "metric-recompute",
             f"{name}: reported period {result.period!r} != evaluated {ev.period!r}",
         )
         sess.expect(
-            _close(result.latency, ev.latency, _REL),
+            result.latency == ev.latency,
             "metric-recompute",
             f"{name}: reported latency {result.latency!r} != evaluated {ev.latency!r}",
         )
