@@ -32,7 +32,7 @@ from ..core.application import PipelineApplication
 from ..core.costs import _interval_terms
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
-from ..heuristics.base import FixedPeriodHeuristic, HeuristicResult
+from ..heuristics.base import FixedPeriodHeuristic, HeuristicResult, reached
 
 __all__ = ["HeterogeneousSplittingPeriod"]
 
@@ -85,7 +85,7 @@ class HeterogeneousSplittingPeriod(FixedPeriodHeuristic):
         latency = 0.0 + cells[0][1] + cells[0][2]
         history = [(period, latency)]
 
-        while period > bound * (1 + 1e-9):
+        while not reached(period, bound):
             unused = [u for u in order if u not in procs]
             if not unused:
                 break

@@ -26,6 +26,7 @@ from ..core.application import PipelineApplication
 from ..core.exceptions import InvalidMappingError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
+from ..heuristics.base import reached
 
 __all__ = [
     "ReplicatedInterval",
@@ -183,7 +184,7 @@ def greedy_replication(
     evaluation = evaluate_replicated(app, platform, current)
 
     while unused:
-        if period_bound is not None and evaluation.period <= period_bound * (1 + 1e-9):
+        if period_bound is not None and reached(evaluation.period, period_bound):
             break
         bottleneck = int(
             max(

@@ -38,7 +38,7 @@ from ..exact.homogeneous_dp import (
 from ..exact.one_to_one import one_to_one_min_latency, one_to_one_min_period
 from ..extensions.heterogeneous_links import HeterogeneousSplittingPeriod
 from ..extensions.replication import greedy_replication
-from ..heuristics.base import PipelineHeuristic
+from ..heuristics.base import PipelineHeuristic, reached
 from ..heuristics.registry import HEURISTIC_CLASSES
 from ..heuristics.splitting import SplittingBiLatency, SplittingMonoPeriod
 from .base import Capability, Objective, SolveRequest, SolveResult, SolverFamily
@@ -46,8 +46,6 @@ from .local_search import random_seed_mapping, refine
 from .registry import SolverSpec, register_solver
 
 __all__ = ["heuristic_solve_fn"]
-
-_EPS = 1e-9
 
 
 def _infeasible_result(
@@ -419,7 +417,7 @@ def _greedy_replication(
     replicated, ev = greedy_replication(
         app, platform, base.mapping, period_bound=bound
     )
-    feasible = ev.period <= bound * (1 + _EPS) + 1e-12
+    feasible = reached(ev.period, bound)
     details = _replication_details(replicated.assignments)
     details["base_period"] = float(base.period)
     details["base_latency"] = float(base.latency)
@@ -493,7 +491,7 @@ def _meets_bound(request: SolveRequest, period: float, latency: float) -> bool:
         in (Objective.MIN_LATENCY_FOR_PERIOD, Objective.MIN_LATENCY)
         else latency
     )
-    return metric <= bound * (1 + _EPS) + 1e-12
+    return reached(metric, bound)
 
 
 def _local_search_solve_fn(

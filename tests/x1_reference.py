@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.costs import evaluate, interval_cycle_time
 from repro.core.mapping import IntervalMapping
 from repro.extensions.heterogeneous_links import HeterogeneousSplittingPeriod
-from repro.heuristics.base import HeuristicResult
+from repro.heuristics.base import HeuristicResult, reached
 
 
 def bottleneck(app, platform, mapping: IntervalMapping) -> int:
@@ -44,7 +44,7 @@ def reference_run(app, platform, bound: float) -> HeuristicResult:
     history = [(current.period, current.latency)]
     n_splits = 0
 
-    while current.period > bound * (1 + 1e-9):
+    while not reached(current.period, bound):
         unused = [u for u in order if u not in used]
         if not unused:
             break
