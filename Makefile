@@ -75,9 +75,24 @@ fuzz-smoke:
 
 ## heterogeneous-only fuzz slice: glob family selection, exercises the
 ## anytime local-search invariants on every instance small enough for them
+## and X1 (Hetero Sp P) on per-link bandwidths; like fuzz-smoke, the stream
+## also runs under REPRO_KERNELS_DISABLE=all and on a 2-worker pool, and the
+## three stdout reports must be byte-identical
 fuzz-hetero-smoke:
+	rm -rf .fuzz-hetero-smoke && mkdir -p .fuzz-hetero-smoke
 	$(PYTHON) -m repro.cli fuzz --families 'heterogeneous*' --count 200 \
-		--seed 0 --corpus fuzz-counterexamples
+		--seed 0 --corpus fuzz-counterexamples \
+		> .fuzz-hetero-smoke/default.txt || { cat .fuzz-hetero-smoke/default.txt; exit 1; }
+	cat .fuzz-hetero-smoke/default.txt
+	REPRO_KERNELS_DISABLE=all $(PYTHON) -m repro.cli fuzz --families 'heterogeneous*' \
+		--count 200 --seed 0 --corpus fuzz-counterexamples \
+		> .fuzz-hetero-smoke/numpy.txt || { cat .fuzz-hetero-smoke/numpy.txt; exit 1; }
+	cmp .fuzz-hetero-smoke/default.txt .fuzz-hetero-smoke/numpy.txt
+	$(PYTHON) -m repro.cli fuzz --families 'heterogeneous*' --count 200 \
+		--seed 0 --workers 2 --corpus fuzz-counterexamples \
+		> .fuzz-hetero-smoke/pooled.txt || { cat .fuzz-hetero-smoke/pooled.txt; exit 1; }
+	cmp .fuzz-hetero-smoke/default.txt .fuzz-hetero-smoke/pooled.txt
+	rm -rf .fuzz-hetero-smoke
 
 ## CI's resume smoke slice: run a spec, interrupt it halfway via the
 ## --max-tasks cap (exit 3), resume it with --resume, and assert the final
