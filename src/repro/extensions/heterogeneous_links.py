@@ -108,7 +108,7 @@ class HeterogeneousSplittingPeriod(FixedPeriodHeuristic):
             for cell in cells[:j]:
                 head += cell[1]
             tail = [cell[1] for cell in cells[j + 2:]]
-            last_out = cells[-1][2]
+            last_out = cells[-1][2]  # a split changes it only on the last interval
             no_cell = (float("-inf"), 0.0, 0.0)
             left_own = cells[j - 1] if pred is not None else no_cell
             right_own = cells[j + 1] if succ is not None else no_cell
@@ -143,7 +143,7 @@ class HeterogeneousSplittingPeriod(FixedPeriodHeuristic):
                             cand_latency += right[1]
                             for contribution in tail:
                                 cand_latency += contribution
-                            cand_latency += last_out if tail else right[2]
+                            cand_latency += last_out
                         if best is None or (cand_period, cand_latency) < best[:2]:
                             best = (cand_period, cand_latency, cut, pa, pb, a, b, left, right)
             if best is None:
