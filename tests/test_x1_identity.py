@@ -77,18 +77,14 @@ def _bounds(app, platform) -> list[float]:
     return [max(float(b), 1e-6) for b in bounds]
 
 
-def _identity_digest(result: SolveResult) -> str:
-    """sha256 of the canonical JSON of ``result.identity()``."""
-    document = solve_result_to_dict(result)
+def _digest(result) -> str:
+    """sha256 of the canonical JSON of the X1 result's ``identity()``."""
+    document = solve_result_to_dict(
+        SolveResult.from_heuristic(result, solver=HeterogeneousSplittingPeriod.name)
+    )
     for name in SolveResult.NONDETERMINISTIC_FIELDS:
         document.pop(name)
     return digest_document(document)
-
-
-def _digest(result) -> str:
-    return _identity_digest(
-        SolveResult.from_heuristic(result, solver=HeterogeneousSplittingPeriod.name)
-    )
 
 
 def compute_digests() -> dict[str, str]:
