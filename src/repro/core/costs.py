@@ -28,6 +28,7 @@ import numpy as np
 from . import kernels
 from .application import PipelineApplication
 from .mapping import Interval, IntervalMapping
+from .pareto import dominates
 from .platform import Platform
 
 __all__ = [
@@ -55,14 +56,8 @@ class MappingEvaluation:
     latency: float
 
     def dominates(self, other: "MappingEvaluation", tol: float = 1e-12) -> bool:
-        """Pareto dominance: no worse on both criteria, better on at least one."""
-        not_worse = (
-            self.period <= other.period + tol and self.latency <= other.latency + tol
-        )
-        strictly_better = (
-            self.period < other.period - tol or self.latency < other.latency - tol
-        )
-        return not_worse and strictly_better
+        """Pareto dominance (:func:`repro.core.pareto.dominates`)."""
+        return dominates((self.period, self.latency), (other.period, other.latency), tol)
 
 
 # --------------------------------------------------------------------------- #

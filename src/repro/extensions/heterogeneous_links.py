@@ -158,7 +158,7 @@ class HeterogeneousSplittingPeriod(FixedPeriodHeuristic):
             cells[j:j + 1] = [a, b]
             history.append((period, latency))
 
-        mapping = IntervalMapping(intervals, procs)
         return self._make_result(
-            app, platform, mapping, bound, len(procs) - 1, history
+            IntervalMapping(intervals, procs), (period, latency), bound,
+            len(procs) - 1, history,
         )

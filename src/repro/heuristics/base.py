@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from ..core.application import PipelineApplication
-from ..core.costs import MappingEvaluation, evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
@@ -165,30 +164,29 @@ class PipelineHeuristic(abc.ABC):
     # ------------------------------------------------------------------ #
     def _make_result(
         self,
-        app: PipelineApplication,
-        platform: Platform,
         mapping: IntervalMapping,
+        point: tuple[float, float],
         bound: float,
         n_splits: int,
         history: Sequence[tuple[float, float]],
-        evaluation: MappingEvaluation | None = None,
     ) -> HeuristicResult:
         """The result of ending at ``mapping`` under ``bound``.
 
-        ``evaluation`` is :func:`~repro.core.costs.evaluate` of ``mapping``
-        when the caller already holds it (a trajectory node, a frontier
-        iterate); it is computed here otherwise.
+        ``point`` is the ``(period, latency)`` of ``mapping`` (eqs. 1 and 2)
+        as the caller's search computed it: a trajectory node's, a frontier
+        iterate's recorded floats, X1's incremental terms, or a baseline's
+        :func:`~repro.core.costs.evaluate`.
         """
-        ev = evaluate(app, platform, mapping) if evaluation is None else evaluation
+        period, latency = point
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-            feasible = reached(ev.period, bound)
+            feasible = reached(period, bound)
         else:
-            feasible = reached(ev.latency, bound)
+            feasible = reached(latency, bound)
         return HeuristicResult(
             heuristic=self.name,
             mapping=mapping,
-            period=float(ev.period),
-            latency=float(ev.latency),
+            period=float(period),
+            latency=float(latency),
             feasible=bool(feasible),
             threshold=float(bound),
             objective=self.objective,
@@ -196,17 +194,10 @@ class PipelineHeuristic(abc.ABC):
             history=tuple(history),
         )
 
-    def _node_result(
-        self,
-        app: PipelineApplication,
-        platform: Platform,
-        node: "TrajectoryNode",
-        bound: float,
-    ) -> HeuristicResult:
+    def _node_result(self, node: "TrajectoryNode", bound: float) -> HeuristicResult:
         """The result of a trajectory walk that ended at ``node``."""
         return self._make_result(
-            app, platform, node.mapping(), bound, node.depth, node.history,
-            node.evaluation(),
+            node.mapping(), (node.period, node.latency), bound, node.depth, node.history
         )
 
     def __repr__(self) -> str:

@@ -53,7 +53,7 @@ class ChainsPartitionBaseline(FixedPeriodHeuristic):
     ) -> HeuristicResult:
         order = platform.processors_by_speed(descending=True)
         best_mapping: IntervalMapping | None = None
-        best_period = float("inf")
+        best_point = (float("inf"), float("inf"))
         history: list[tuple[float, float]] = []
         chosen_m = 1
         for m in range(1, min(app.n_stages, platform.n_processors) + 1):
@@ -68,16 +68,15 @@ class ChainsPartitionBaseline(FixedPeriodHeuristic):
             mapping = IntervalMapping(intervals, processors)
             ev = evaluate(app, platform, mapping)
             history.append((ev.period, ev.latency))
-            if ev.period < best_period:
-                best_mapping, best_period = mapping, ev.period
+            # a period that reaches the bound beats every earlier one, which did not
+            if ev.period < best_point[0]:
+                best_mapping, best_point = mapping, (ev.period, ev.latency)
                 chosen_m = m
             if reached(ev.period, bound):
-                best_mapping, best_period = mapping, ev.period
-                chosen_m = m
                 break
         assert best_mapping is not None
         return self._make_result(
-            app, platform, best_mapping, bound, n_splits=chosen_m - 1, history=history
+            best_mapping, best_point, bound, n_splits=chosen_m - 1, history=history
         )
 
 
@@ -123,5 +122,5 @@ class RandomMappingBaseline(FixedPeriodHeuristic):
                 history.append(key)
         assert best_mapping is not None
         return self._make_result(
-            app, platform, best_mapping, bound, n_splits=0, history=history
+            best_mapping, best_key, bound, n_splits=0, history=history
         )

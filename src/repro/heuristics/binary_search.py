@@ -51,7 +51,7 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
         best = root.walk(bound)
         if not reached(best.period, bound):
             # the prescribed period cannot be reached even without a latency cap
-            return self._node_result(app, platform, best, bound)
+            return self._node_result(best, bound)
 
         lo = root.latency  # optimal latency (Lemma 1)
         hi = best.latency
@@ -67,4 +67,4 @@ class SplittingBiPeriod(FixedPeriodHeuristic):
                     best = trial
             else:
                 lo = mid
-        return self._node_result(app, platform, best, bound)
+        return self._node_result(best, bound)

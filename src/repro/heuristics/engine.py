@@ -27,9 +27,10 @@ immutable state after ``k`` splits, its children are keyed by the ranking
 index, and its ranking and children are built on first visit.  Every
 threshold of every heuristic, H4's bisection probes and the frontier's
 exhaustion run (:mod:`repro.solvers.frontier`) walk the same nodes; only
-the stop tests stay per query (:meth:`TrajectoryNode.walk`).  Each node
-also memoises the :func:`~repro.core.costs.evaluate` of its mapping that
-the final result is built from.  The nodes reference neither their parent
+the stop tests stay per query (:meth:`TrajectoryNode.walk`).  A node's
+``(period, latency)`` is eqs. (1) and (2) of its mapping, added in
+:func:`~repro.core.costs.evaluate`'s order, so the final result takes it
+as it is.  The nodes reference neither their parent
 nor the table entry that holds the trie, so the trie is cycle-free and is
 freed with its scope.
 
@@ -66,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.application import PipelineApplication
-from ..core.costs import MappingEvaluation, evaluate, interval_time_components
+from ..core.costs import interval_time_components
 from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
@@ -314,7 +315,7 @@ class TrajectoryNode:
     __slots__ = (
         "intervals", "processors", "cycles", "contribs", "unused",
         "period", "latency", "history",
-        "_trie", "_split", "_children", "_mapping", "_evaluation", "__weakref__",
+        "_trie", "_split", "_children", "_mapping", "__weakref__",
     )
 
     def __init__(
@@ -340,7 +341,6 @@ class TrajectoryNode:
         self._split: tuple[int, _Ranking | None] | bool | None = None
         self._children: dict[int, TrajectoryNode] = {}
         self._mapping: IntervalMapping | None = None
-        self._evaluation: MappingEvaluation | None = None
 
     @property
     def depth(self) -> int:
@@ -442,13 +442,6 @@ class TrajectoryNode:
         if self._mapping is None:
             self._mapping = IntervalMapping(self.intervals, self.processors)
         return self._mapping
-
-    def evaluation(self) -> MappingEvaluation:
-        """:func:`~repro.core.costs.evaluate` of the node's mapping (computed once)."""
-        if self._evaluation is None:
-            inst = self._trie.inst
-            self._evaluation = evaluate(inst.app, inst.platform, self.mapping())
-        return self._evaluation
 
 
 def trajectory(

@@ -61,7 +61,7 @@ class FixedPeriodWalk(FixedPeriodHeuristic):
         self, app: PipelineApplication, platform: Platform, bound: float
     ) -> HeuristicResult:
         node = self._root(app, platform).walk(bound)
-        return self._node_result(app, platform, node, bound)
+        return self._node_result(node, bound)
 
 
 class SplittingMonoPeriod(FixedPeriodWalk):
@@ -88,7 +88,7 @@ class _FixedLatencySplitting(FixedLatencyHeuristic):
         # run is infeasible; the walk below can only keep latency <= bound.
         if reached(node.latency, bound):
             node = node.walk(limit=stop_limit(bound))
-        return self._node_result(app, platform, node, bound)
+        return self._node_result(node, bound)
 
 
 class SplittingMonoLatency(_FixedLatencySplitting):

@@ -18,10 +18,11 @@ uncapped trajectory-trie path (:mod:`repro.heuristics.engine`) records
 every iterate ``(period, latency, mapping)``; a query at threshold ``t``
 replays the stop predicate over the recorded engine periods (binary
 search — the periods are non-increasing) and rebuilds the result from the
-selected iterate with the heuristic's own ``_make_result``, reproducing
-the direct run exactly; the thresholds of one batch that stop at the same
-iterate share its decoded mapping and evaluation.  Every other solver, the exact
-DPs included, answers each threshold with its own direct solve.
+selected iterate, its mapping and its recorded point, with the
+heuristic's own ``_make_result``, reproducing the direct run exactly; the
+thresholds of one batch that stop at the same iterate share its decoded
+mapping.  Every other solver, the exact DPs included, answers each
+threshold with its own direct solve.
 
 The documents are JSON-safe dictionaries, so the cache layer
 (:mod:`repro.cache`) stores them as content-addressed blobs under a
@@ -34,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..core import kernels
-from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.serialization import mapping_from_dict, mapping_to_dict
@@ -153,18 +153,16 @@ def _first_reaching(iterates: list[dict], limit: float) -> int:
 
 
 def _steps_answerer(
-    solver: "Solver",
-    app: "PipelineApplication",
-    platform: "Platform",
-    document: dict[str, Any],
+    solver: "Solver", document: dict[str, Any]
 ) -> Callable[[float], SolveResult]:
     """Threshold queries over a current document, each iterate built once.
 
     A query replays the direct run's stop test over the recorded trajectory
     and rebuilds the result from the selected iterate with the heuristic's
-    own ``_make_result``.  The iterate's decoded mapping, its
-    :func:`~repro.core.costs.evaluate` and its history are memoised, so
-    thresholds that stop at the same iterate share one evaluation.
+    own ``_make_result``, at the iterate's recorded ``(period, latency)``
+    (the last entry of its history).  The iterate's decoded mapping and its
+    history are memoised, so thresholds that stop at the same iterate share
+    them.
     """
     heuristic = _steps_heuristic(solver)
     iterates = document["iterates"]
@@ -181,10 +179,10 @@ def _steps_answerer(
                 (float(it["period"]), float(it["latency"]))
                 for it in iterates[: idx + 1]
             ]
-            found = built[idx] = (mapping, history, evaluate(app, platform, mapping))
-        mapping, history, evaluation = found
+            found = built[idx] = (mapping, history)
+        mapping, history = found
         heuristic_result = heuristic._make_result(
-            app, platform, mapping, thr, idx, history, evaluation
+            mapping, history[-1], thr, idx, history
         )
         return SolveResult.from_heuristic(
             heuristic_result, solver=heuristic.name
@@ -222,7 +220,7 @@ def frontier_solve(
     the cache (read only; a stale or foreign one is recomputed);
     ``n_direct_solves`` counts the underlying full solver runs this call
     actually performed (1 for a cold trajectory, 0 for a warm one).  Each
-    distinct iterate the thresholds stop at is decoded and evaluated once.
+    distinct iterate the thresholds stop at is decoded once.
     """
     if Capability.FRONTIER not in solver.capabilities:
         raise ConfigurationError(
@@ -232,6 +230,6 @@ def frontier_solve(
     if document is None or not _document_valid(document, solver):
         document = compute_steps_frontier(solver, app, platform)
         n_solves = 1
-    answer = _steps_answerer(solver, app, platform, document)
+    answer = _steps_answerer(solver, document)
     results = {t: answer(t) for t in dict.fromkeys(float(t) for t in thresholds)}
     return document, [results[float(t)] for t in thresholds], n_solves

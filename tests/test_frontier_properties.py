@@ -140,13 +140,16 @@ class TestExtractionIdentity:
 
 
 class TestExtractionMemo:
-    def test_each_distinct_iterate_is_evaluated_once(self, monkeypatch):
-        """One ``frontier_solve`` evaluates each iterate its thresholds stop
-        at once, and every answer still equals its direct solve."""
+    def test_each_distinct_iterate_is_decoded_once(self, monkeypatch):
+        """One ``frontier_solve`` decodes the mapping of each iterate its
+        thresholds stop at once, and every answer still equals its direct
+        solve."""
         calls = []
-        evaluate_once = frontier.evaluate
+        decode_once = frontier.mapping_from_dict
         monkeypatch.setattr(
-            frontier, "evaluate", lambda *args: calls.append(args) or evaluate_once(*args)
+            frontier,
+            "mapping_from_dict",
+            lambda *args: calls.append(args) or decode_once(*args),
         )
         scenario = generate_scenarios(1, "homogeneous-chain", seed=3)[0]
         app, platform = scenario.application, scenario.platform

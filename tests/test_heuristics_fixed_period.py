@@ -35,8 +35,8 @@ class TestInterface:
         app, platform = medium_instance.application, medium_instance.platform
         result = heuristic.run(app, platform, period_bound=5.0)
         ev = evaluate(app, platform, result.mapping)
-        assert result.period == pytest.approx(ev.period)
-        assert result.latency == pytest.approx(ev.latency)
+        assert result.period == ev.period
+        assert result.latency == ev.latency
         assert result.threshold == 5.0
         assert result.heuristic == heuristic.name
 

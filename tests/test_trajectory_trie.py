@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import tables
+from repro.core.costs import evaluate
 from repro.core.tables import instance_tables, tables_for
 from repro.generators.experiments import experiment_config, generate_instances
 from repro.heuristics import SelectionRule, get_heuristic, trajectory
@@ -75,12 +76,20 @@ def _reference_pass(app, platform, period_bound, authorized_latency, seen=None):
     )
 
 
+def _result(key, app, platform, mapping, bound, n_splits, history):
+    """``key``'s result at ``mapping``, its point from a fresh ``evaluate``."""
+    ev = evaluate(app, platform, mapping)
+    return get_heuristic(key)._make_result(
+        mapping, (ev.period, ev.latency), bound, n_splits, history
+    )
+
+
 def _reference_h4(app, platform, bound, seen=None):
     """H4's ``_solve``: an unconstrained pass, then the latency bisection."""
     h4 = get_heuristic("H4")
     state, n_splits, history = _reference_pass(app, platform, bound, None, seen)
     if not reached(state.period, bound):
-        return h4._make_result(app, platform, state.mapping(), bound, n_splits, history)
+        return _result("H4", app, platform, state.mapping(), bound, n_splits, history)
 
     best_state, best_splits, best_history = state, n_splits, history
     lo = history[0][1]
@@ -102,8 +111,8 @@ def _reference_h4(app, platform, bound, seen=None):
                 )
         else:
             lo = mid
-    return h4._make_result(
-        app, platform, best_state.mapping(), bound, best_splits, best_history
+    return _result(
+        "H4", app, platform, best_state.mapping(), bound, best_splits, best_history
     )
 
 
@@ -114,9 +123,7 @@ def _reference_fixed_period(key, app, platform, bound, seen=None):
     state, n_splits, history = reference_walk(
         app, platform, rule, width, bound, None, _recorder(seen)
     )
-    return get_heuristic(key)._make_result(
-        app, platform, state.mapping(), bound, n_splits, history
-    )
+    return _result(key, app, platform, state.mapping(), bound, n_splits, history)
 
 
 def _reference_fixed_latency(key, app, platform, bound, seen=None):
@@ -132,9 +139,7 @@ def _reference_fixed_latency(key, app, platform, bound, seen=None):
         state, n_splits, history = reference_walk(
             app, platform, rule, width, float("inf"), None, visit
         )
-    return get_heuristic(key)._make_result(
-        app, platform, state.mapping(), bound, n_splits, history
-    )
+    return _result(key, app, platform, state.mapping(), bound, n_splits, history)
 
 
 def _reference(query, app, platform):

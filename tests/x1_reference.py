@@ -76,4 +76,7 @@ def reference_run(app, platform, bound: float) -> HeuristicResult:
         n_splits += 1
         history.append((current.period, current.latency))
 
-    return heuristic._make_result(app, platform, mapping, bound, n_splits, history)
+    # ``current`` is a full ``evaluate`` of the final mapping
+    return heuristic._make_result(
+        mapping, (current.period, current.latency), bound, n_splits, history
+    )
