@@ -233,8 +233,9 @@ serve-repeat:
 ## change the wall clock, and so may split tables and trajectory tries
 ## (shared across the whole batch when serial, built inside each pool
 ## worker otherwise); a second, deeper panel (n=40, p=20) runs the 2-way
-## tries many splits deep, and a third (E3, n=40, p=100) the 3-way tries
-## of H2/H3
+## tries many splits deep, a third (E3, n=40, p=100) the 3-way tries
+## of H2/H3, and a fourth (E1, n=120, p=12) 3-way splits of thousands of
+## candidates each
 sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(PYTHON) -m repro.cli sweep --family E1 --stages 12 --processors 6 \
@@ -264,6 +265,15 @@ sweep-smoke:
 		> .sweep-smoke/wide-pooled.txt
 	cmp .sweep-smoke/wide-direct.txt .sweep-smoke/wide-frontier.txt
 	cmp .sweep-smoke/wide-frontier.txt .sweep-smoke/wide-pooled.txt
+	$(PYTHON) -m repro.cli sweep --family E1 --stages 120 --processors 12 \
+		--instances 2 --thresholds 6 --no-frontier > .sweep-smoke/long-direct.txt
+	$(PYTHON) -m repro.cli sweep --family E1 --stages 120 --processors 12 \
+		--instances 2 --thresholds 6 --frontier > .sweep-smoke/long-frontier.txt
+	$(PYTHON) -m repro.cli sweep --family E1 --stages 120 --processors 12 \
+		--instances 2 --thresholds 6 --frontier --workers 2 \
+		> .sweep-smoke/long-pooled.txt
+	cmp .sweep-smoke/long-direct.txt .sweep-smoke/long-frontier.txt
+	cmp .sweep-smoke/long-frontier.txt .sweep-smoke/long-pooled.txt
 	rm -rf .sweep-smoke
 
 ## one parallel figure panel end to end (smoke test of the --workers path)

@@ -272,9 +272,12 @@ def interval_time_components(
     ``n_stages + 1``.  The first interval reads through ``input_bandwidth``,
     the last writes through ``output_bandwidth``, every internal boundary
     crosses a ``bandwidth`` link.  All arguments broadcast, so scalars work
-    too.  Always numpy: the splitting engine's batches (741 intervals at
-    most on the paper-scale sweep, n=40, p=100) sit far below the size
-    where a compiled loop would pay for its marshalling.
+    too.  Always numpy: the splitting engine calls it once per instance,
+    over the ``n_stages`` single-stage intervals, to build its boundary
+    tables (a part's input time depends only on its first stage, its
+    output time only on its last), and once for the initial mapping's
+    interval; batches that small never pay for a compiled loop's
+    marshalling.
     """
     starts = np.asarray(starts)
     ends = np.asarray(ends)

@@ -13,7 +13,11 @@ All six heuristics of the paper run the same loop:
 
 The engine evaluates *all* candidate cuts of a step with vectorised NumPy
 computations, which keeps the experiment harness (hundreds of thousands of
-heuristic runs for the figures) fast.
+heuristic runs for the figures) fast.  A part's input and output times
+depend only on its first and last stage, so each instance tables them once
+(the boundary tables of :class:`_Instance`, built by the shared cost
+kernel) and a ranking reads every part's terms from those tables and the
+work prefix sums, without calling the kernel per split.
 
 **Trajectory tries.**  Every heuristic is a walk from the initial mapping:
 H1–H3 split until the period is reached, H4 runs up to 26 latency-capped
@@ -42,9 +46,11 @@ the cap.  The key is the split geometry (interval bounds, processors,
 rule) plus the three state floats the ranking is computed from (the
 interval's cycle time, the current latency, and the latency without the
 interval), so a hit is bit-identical to re-ranking; tries under other
-processor orders share it.  3-way rankings hold ``O(n²)`` candidates and
-are neither tabled nor kept: the 3-way walks are uncapped, so a node keeps
-only the child its ranking picks.
+processor orders share it.  A 3-way split has ``O(n²)`` candidates, and
+the 3-way walks are uncapped, so only its best candidate is ever asked for:
+its ranking selects that one candidate without sorting (the least score,
+then the least largest new cycle time, then the least new latency, then the
+first), is neither tabled nor kept, and its node keeps only that child.
 
 Rankings and tries live in the instance's entry of an
 :func:`~repro.core.tables.instance_tables` scope, keyed by the
@@ -61,6 +67,7 @@ fully heterogeneous extension lives in :mod:`repro.extensions`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations
 from typing import Sequence
 
@@ -98,6 +105,42 @@ class SelectionRule:
     RATIO = "ratio"
 
 
+#: the longest interval whose cut pairs are kept: the pairs of every
+#: length up to it take 5.6 MB at most; a longer interval builds its own,
+#: a small cost beside its ``O(length²)`` ranking
+_CACHED_LENGTH = 128
+_CUT_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _cut_pairs(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every 3-way cut pair of an interval ``[d, d + length]``, relative to ``d``.
+
+    ``(first, second)`` with ``0 <= first < second < length``, in
+    lexicographic order (the parts are ``[d, d + first]``,
+    ``[d + first + 1, d + second]`` and ``[d + second + 1, d + length]``).
+    The pairs depend on the length alone, so every instance shares the
+    cached ones; they are read-only.
+    """
+    pairs = _CUT_PAIRS.get(length)
+    if pairs is None:
+        pairs = np.triu_indices(length, k=1)
+        if length <= _CACHED_LENGTH:
+            for cuts in pairs:
+                cuts.setflags(write=False)
+            _CUT_PAIRS[length] = pairs
+    return pairs
+
+
+#: per split width, ``(part rows, assignment columns)``: indexing a
+#: ``(part, processor, cut)`` term array with them lists the parts' terms
+#: under every assignment of the parts to the processors (``permutations``
+#: order)
+_ASSIGNMENTS = {
+    width: (np.arange(width)[:, np.newaxis], np.array(list(permutations(range(width)))).T)
+    for width in (2, 3)
+}
+
+
 class _Ranking:
     """The improving candidates of one split, best first.
 
@@ -105,19 +148,30 @@ class _Ranking:
     interval's own processor first, then the new ones): a candidate is an
     assignment of the parts to ``procs`` (``permutations`` order) and a cut
     tuple (lexicographic), assignment-major.  Only candidates whose largest
-    new cycle time beats ``old_cycle`` are kept.  ``_order`` lists them in
-    selection order — score, then largest new cycle time, then new latency,
-    then assignment and cut order — and ``neg_floor[i]`` is minus the
-    smallest new latency among ``_order[:i+1]`` (non-decreasing), so the
-    best candidate under a latency cap is entry ``i`` for the first ``i``
-    with ``-neg_floor[i] <= cap``: one binary search.  ``old_cycle`` (the
-    interval's cycle time), ``old_latency`` (the state's latency) and
-    ``base_latency`` (the latency without the interval) are the state
-    floats the ranking is computed from.
+    new cycle time beats ``old_cycle`` are kept, in selection order: score,
+    then largest new cycle time, then new latency, then assignment and cut
+    order.  ``old_cycle`` (the interval's cycle time), ``old_latency`` (the
+    state's latency) and ``base_latency`` (the latency without the
+    interval) are the state floats the ranking is computed from.
+
+    The terms of the parts are read from the instance's boundary tables
+    (:attr:`_Instance.in_time`, :attr:`_Instance.out_time` and the work
+    prefix sums): a 2-way split slices them, a 3-way one indexes them with
+    the interval length's cached cut pairs.  Each (part, processor) term is
+    computed once and then laid out under every assignment.
+
+    A 2-way ranking lists every kept candidate: ``_order`` is the selection
+    order and ``neg_floor[i]`` minus the smallest new latency among
+    ``_order[:i+1]`` (non-decreasing), so the best candidate under a
+    latency cap is entry ``i`` for the first ``i`` with ``-neg_floor[i] <=
+    cap``: one binary search.  A 3-way ranking is only ever asked for its
+    best candidate, so it selects that one without sorting: it keeps the
+    candidates of least score, of those the ones of least largest new cycle
+    time, then of least new latency, and takes the first.
     """
 
-    __slots__ = ("neg_floor", "_order", "_d", "_e", "_cuts", "_processors", "_cycles",
-                 "_contribs", "_entries")
+    __slots__ = ("neg_floor", "_order", "_d", "_e", "_cuts", "_n_cuts", "_processors",
+                 "_cycles", "_contribs", "_entries")
 
     def __init__(
         self,
@@ -131,28 +185,28 @@ class _Ranking:
         base_latency: float,
     ) -> None:
         n_parts = len(procs)
-        if n_parts == 2:
-            cuts = np.arange(d, e)[np.newaxis, :]  # parts [d, cut], [cut+1, e]
-        else:
-            cuts = d + np.vstack(np.triu_indices(e - d, k=1))
-        starts = [np.full(cuts.shape[1], d)] + [row + 1 for row in cuts]
-        ends = list(cuts) + [np.full(cuts.shape[1], e)]
-        # raw (input, work, output) times of every part via the shared kernel
-        # (speed=1.0 keeps the work sums undivided; a boundary communication
-        # is the output of one part and, bit for bit, the input of the next)
-        times = [inst.part_times(a, b) for a, b in zip(starts, ends)]
-        processors, cycles, contribs = [], [], []
-        for perm in permutations(procs):
-            parts = [
-                (entry + work / float(inst.speeds[u]), output)
-                for (entry, work, output), u in zip(times, perm)
-            ]
-            processors.append(perm)
-            cycles.append(tuple(contrib + output for contrib, output in parts))
-            contribs.append(tuple(contrib for contrib, _ in parts))
+        length = e - d
+        # cut positions relative to d; a part after a cut starts at d + 1 + cut
+        cuts = (slice(0, length),) if n_parts == 2 else _cut_pairs(length)
+        n_cuts = length if n_parts == 2 else cuts[0].size
+        # boundary terms of each part (speed 1: undivided work sums); a
+        # boundary communication is the output of one part and, bit for
+        # bit, the input of the next
+        prefix = inst.prefix
+        firsts = [prefix[d]] + [prefix[d + 1:][c] for c in cuts] + [prefix[e + 1]]
+        inputs = [inst.in_time[d]] + [inst.in_time[d + 1:][c] for c in cuts]
+        outputs = [inst.out_time[d:][c] for c in cuts] + [inst.out_time[e]]
+        speeds = inst.speeds[list(procs)][:, np.newaxis]
+        # (part, processor, cut) terms, each computed once
+        contrib_terms = np.empty((n_parts, n_parts, n_cuts))
+        cycle_terms = np.empty((n_parts, n_parts, n_cuts))
+        for k in range(n_parts):
+            contrib_terms[k] = inputs[k] + (firsts[k + 1] - firsts[k]) / speeds
+            cycle_terms[k] = contrib_terms[k] + outputs[k]
         # (parts, candidates): assignment-major columns
-        cycles_arr = np.array(cycles).transpose(1, 0, 2).reshape(n_parts, -1)
-        contribs_arr = np.array(contribs).transpose(1, 0, 2).reshape(n_parts, -1)
+        parts, assignments = _ASSIGNMENTS[n_parts]
+        cycles_arr = cycle_terms[parts, assignments].reshape(n_parts, -1)
+        contribs_arr = contrib_terms[parts, assignments].reshape(n_parts, -1)
         local_max = cycles_arr.max(axis=0)
         new_latency = base_latency + contribs_arr.sum(axis=0)
         improvement_margin = _EPS * (1.0 + old_cycle)
@@ -171,24 +225,34 @@ class _Ranking:
         else:
             raise ValueError(f"unknown selection rule {rule!r}")
         keep = np.flatnonzero(local_max < old_cycle - improvement_margin)
-        # lexsort is stable: ties keep assignment-major, cut-minor order
-        self._order = keep[
-            np.lexsort((new_latency[keep], local_max[keep], score[keep]))
-        ]
-        self.neg_floor = -np.minimum.accumulate(new_latency[self._order])
-        self._d, self._e, self._cuts = d, e, cuts
-        self._processors = processors
+        if n_parts == 2:
+            # lexsort is stable: ties keep assignment-major, cut-minor order
+            self._order = keep[
+                np.lexsort((new_latency[keep], local_max[keep], score[keep]))
+            ]
+        else:
+            # the first entry of that order: keep the least of each key in
+            # turn; ``keep`` is ascending, so its first survivor breaks ties
+            for key in (score, local_max, new_latency):
+                if keep.size <= 1:
+                    break
+                values = key[keep]
+                keep = keep[values == values.min()]
+            self._order = keep[:1]
+        self.neg_floor = (-np.minimum.accumulate(new_latency[self._order])).tolist()
+        self._d, self._e, self._cuts, self._n_cuts = d, e, cuts, n_cuts
+        self._processors = list(permutations(procs))
         self._cycles, self._contribs = cycles_arr, contribs_arr
         self._entries: dict[int, tuple] = {}
 
     def index(self, limit: float | None) -> int:
         """Rank of the best candidate whose new latency is at most ``limit``.
 
-        0 without a limit; ``neg_floor.size`` when no candidate qualifies.
+        0 without a limit; ``len(neg_floor)`` when no candidate qualifies.
         """
         if limit is None:
             return 0
-        return int(np.searchsorted(self.neg_floor, -limit))
+        return bisect_left(self.neg_floor, -limit)
 
     def entry(self, i: int) -> tuple:
         """The ``i``-th ranked candidate (built once, then reused).
@@ -198,13 +262,16 @@ class _Ranking:
         found = self._entries.get(i)
         if found is None:
             f = int(self._order[i])
-            assignment, c = divmod(f, self._cuts.shape[1])
-            cuts = self._cuts[:, c].tolist()
+            assignment, c = divmod(f, self._n_cuts)
+            if len(self._cuts) == 1:  # a 2-way split: the cut slice starts at 0
+                cuts = [self._d + c]
+            else:
+                cuts = [self._d + int(cut[c]) for cut in self._cuts]
             starts = [self._d] + [cut + 1 for cut in cuts]
             ends = cuts + [self._e]
             found = self._entries[i] = (
                 tuple(Interval(a, b) for a, b in zip(starts, ends)),
-                tuple(self._processors[assignment]),
+                self._processors[assignment],
                 tuple(self._cycles[:, f].tolist()),
                 tuple(self._contribs[:, f].tolist()),
             )
@@ -214,11 +281,17 @@ class _Ranking:
 class _Instance:
     """The constants of one (application, platform) pair the engine reads.
 
-    Holds no reference to a state, a trajectory or a table, so the tables
-    and tries that keep it cannot form a reference cycle through it.
+    ``in_time[k]`` is the input time of a part that starts at stage ``k``
+    and ``out_time[k]`` the output time of a part that ends at stage ``k``:
+    the boundary tables, the kernel's own floats (one
+    :func:`~repro.core.costs.interval_time_components` call over the
+    single-stage parts).  With the work prefix sums they give every part's
+    terms.  Holds no reference to a state, a trajectory or a table, so the
+    tables and tries that keep it cannot form a reference cycle through it.
     """
 
-    __slots__ = ("app", "platform", "n", "b", "b_in", "b_out", "speeds", "comm", "prefix", "tail")
+    __slots__ = ("app", "platform", "n", "b", "b_in", "b_out", "speeds", "comm", "prefix",
+                 "tail", "in_time", "out_time")
 
     def __init__(self, app: PipelineApplication, platform: Platform) -> None:
         if not platform.is_communication_homogeneous:
@@ -236,6 +309,8 @@ class _Instance:
         self.comm = app.comm_sizes
         self.prefix = app.work_prefix
         self.tail = float(self.comm[self.n]) / self.b_out
+        stages = np.arange(self.n)
+        self.in_time, _, self.out_time = self.part_times(stages, stages)
 
     def part_times(
         self,
@@ -246,9 +321,9 @@ class _Instance:
         """(input, compute, output) times of candidate parts, via the shared kernel.
 
         Thin wrapper over :func:`repro.core.costs.interval_time_components`
-        with the platform constants bound; :class:`_Ranking` calls it with
-        ``speed=1.0`` to get raw work sums it then divides by each processor
-        speed under consideration.
+        with the platform constants bound.  The boundary tables are built
+        with it; the root's metrics (:meth:`interval_metrics`) read it
+        directly.
         """
         return interval_time_components(
             self.prefix,
@@ -303,9 +378,10 @@ class TrajectoryNode:
     every walk that picks the same index from this state shares the child.
 
     Two-way rankings are tabled per split key and kept by the node.  A
-    three-way ranking holds ``O(n²)`` candidates, and the 3-way walks are
-    never capped, so the node builds the one child it picks and drops the
-    ranking at once.
+    three-way split has ``O(n²)`` candidates and the 3-way walks are never
+    capped, so its ranking selects only the best candidate, without
+    sorting, and the node builds that one child and drops the ranking at
+    once.
 
     Nodes hold no parent and no :class:`~repro.core.tables.InstanceTables`
     entry, so the trie is cycle-free and is freed as soon as its scope
@@ -367,7 +443,7 @@ class TrajectoryNode:
                 raise ValueError("3-way trajectories are walked without a latency limit")
             return self._children[0]
         i = ranking.index(limit)
-        if i >= ranking.neg_floor.size:
+        if i >= len(ranking.neg_floor):
             return None
         found = self._children.get(i)
         if found is None:
@@ -419,7 +495,7 @@ class TrajectoryNode:
         # O(n²) 3-way ranking must not live that long, and only index 0 is
         # ever asked for
         ranking = _Ranking(trie.inst, *key)
-        if not ranking.neg_floor.size:
+        if not ranking.neg_floor:
             return False
         self._children[0] = self._apply(j, ranking.entry(0))
         return j, None

@@ -6,8 +6,9 @@ takes one step without any of that: it lists every candidate of a split
 (each assignment of the parts to the processors, each cut tuple) with the
 shared cost kernel (``engine._Instance.part_times``), filters and scores
 them as Section 4 defines, and keeps the best by (score, largest new cycle
-time, new latency), the earlier assignment and cut first.  A
-:class:`RefState` has the fields of a
+time, new latency), the earlier assignment and cut first
+(:func:`lexsort_step` takes the same step with one full ``np.lexsort``
+over every candidate).  A :class:`RefState` has the fields of a
 :class:`~repro.heuristics.engine.TrajectoryNode`, so the selection reads
 either, and :func:`state_fields` compares the two bit for bit.
 """
@@ -111,6 +112,32 @@ def _base_latency(inst, state, j) -> float:
     return _added(state.contribs) - state.contribs[j] + inst.tail
 
 
+def _scored(inst, state, j, cycles, contribs, rule):
+    """``(improving, score, largest new cycle, new latency)`` of candidate columns.
+
+    ``cycles`` and ``contribs`` hold one row per part and one column per
+    candidate; ``improving`` masks the candidates whose largest new cycle
+    time beats the interval's.
+    """
+    old_cycle = state.cycles[j]
+    improvement_margin = _EPS * (1.0 + old_cycle)
+    local_max = cycles.max(axis=0)
+    new_latency = _base_latency(inst, state, j) + contribs.sum(axis=0)
+    if rule == SelectionRule.MONO:
+        score = local_max
+    else:
+        delta_lat = new_latency - state.latency
+        delta_per = old_cycle - cycles
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(
+                delta_per > improvement_margin,
+                delta_lat[np.newaxis, :] / delta_per,
+                np.inf,
+            )
+        score = ratios.max(axis=0)
+    return local_max < old_cycle - improvement_margin, score, local_max, new_latency
+
+
 def reference_select(inst, state, j, pieces, rule, latency_cap):
     """The best improving candidate within ``latency_cap`` (one query, no reuse).
 
@@ -118,13 +145,8 @@ def reference_select(inst, state, j, pieces, rule, latency_cap):
     tolerance is applied here.  Returns ``(intervals, processors, cycles,
     contribs)`` of the chosen candidate, or ``None``.
     """
-    old_cycle = state.cycles[j]
-    old_latency = state.latency
-    base_latency = _base_latency(inst, state, j)
-
     best = None
     best_rank = None
-    improvement_margin = _EPS * (1.0 + old_cycle)
     cap = None
     if latency_cap is not None:
         cap = latency_cap * (1 + 1e-9) + 1e-12
@@ -132,27 +154,11 @@ def reference_select(inst, state, j, pieces, rule, latency_cap):
     for piece in pieces:
         cycles = np.vstack(piece["cycles"])
         contribs = np.vstack(piece["contribs"])
-        local_max = cycles.max(axis=0)
-        new_latency = base_latency + contribs.sum(axis=0)
-
-        mask = local_max < old_cycle - improvement_margin
+        mask, score, local_max, new_latency = _scored(inst, state, j, cycles, contribs, rule)
         if cap is not None:
             mask &= new_latency <= cap
         if not mask.any():
             continue
-
-        if rule == SelectionRule.MONO:
-            score = local_max
-        else:
-            delta_lat = new_latency - old_latency
-            delta_per = old_cycle - cycles
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    delta_per > improvement_margin,
-                    delta_lat[np.newaxis, :] / delta_per,
-                    np.inf,
-                )
-            score = ratios.max(axis=0)
 
         candidate_indices = np.nonzero(mask)[0]
         sub_rank = np.lexsort(
@@ -173,6 +179,47 @@ def reference_select(inst, state, j, pieces, rule, latency_cap):
             )
             best_rank = rank
     return best
+
+
+def _stepped(inst, state, j, chosen) -> RefState:
+    """``state`` with interval ``j`` replaced by the ``chosen`` candidate."""
+    intervals, procs, cycles, contribs = chosen
+    return RefState(
+        state.intervals[:j] + intervals + state.intervals[j + 1:],
+        state.processors[:j] + procs + state.processors[j + 1:],
+        state.cycles[:j] + cycles + state.cycles[j + 1:],
+        state.contribs[:j] + contribs + state.contribs[j + 1:],
+        tuple(u for u in state.unused if u not in procs),
+        inst.tail,
+    )
+
+
+def lexsort_step(inst, state, rule, width) -> RefState | None:
+    """The next split by one full ``np.lexsort`` over every candidate at once.
+
+    All pieces' columns side by side (assignment-major, cut-minor), the
+    improving ones sorted stably by (score, largest new cycle time, new
+    latency): the first entry is the split.  ``None`` when the walk stalls.
+    """
+    j = int(np.argmax(state.cycles))
+    iv = state.intervals[j]
+    if len(state.unused) < width - 1 or iv.end - iv.start < width - 1:
+        return None
+    pieces = reference_pieces(inst, state, j, state.unused[: width - 1])
+    cycles = np.hstack([np.vstack(piece["cycles"]) for piece in pieces])
+    contribs = np.hstack([np.vstack(piece["contribs"]) for piece in pieces])
+    mask, score, local_max, new_latency = _scored(inst, state, j, cycles, contribs, rule)
+    keep = np.flatnonzero(mask)
+    if not keep.size:
+        return None
+    f = int(keep[np.lexsort((new_latency[keep], local_max[keep], score[keep]))[0]])
+    piece, c = divmod(f, cycles.shape[1] // len(pieces))
+    return _stepped(inst, state, j, (
+        tuple(pieces[piece]["interval_builder"](c)),
+        tuple(pieces[piece]["processors"]),
+        tuple(cycles[:, f].tolist()),
+        tuple(contribs[:, f].tolist()),
+    ))
 
 
 def candidate_latencies(inst, state, width) -> list[float]:
@@ -211,15 +258,7 @@ def reference_step(inst, state, rule, width, latency_cap) -> RefState | None:
     )
     if chosen is None:
         return None
-    intervals, procs, cycles, contribs = chosen
-    return RefState(
-        state.intervals[:j] + intervals + state.intervals[j + 1:],
-        state.processors[:j] + procs + state.processors[j + 1:],
-        state.cycles[:j] + cycles + state.cycles[j + 1:],
-        state.contribs[:j] + contribs + state.contribs[j + 1:],
-        tuple(u for u in state.unused if u not in procs),
-        inst.tail,
-    )
+    return _stepped(inst, state, j, chosen)
 
 
 def reference_walk(app, platform, rule, width, period_bound, latency_cap, visit=None):

@@ -10,7 +10,9 @@ ways:
   sha256 of ``SolveResult.identity()`` for H1–H6 and the two ablation
   heuristics on the paper panels and every communication-homogeneous
   scenario family, generated before the tables existed, plus H1–H3 on
-  deep panels (n=40, p=100) whose 3-way walks split many times;
+  deep panels (n=40, p=100) whose 3-way walks split many times, and
+  H2/H3 on deeper ones (E1 n=120 p=12, E3 n=100 p=100) whose 3-way
+  rankings hold thousands of candidates each;
 * a hypothesis test walks the tries of every family and compares each
   child, field by field, with a from-scratch selection
   (``tests/splitting_reference.py``): every edge of the uncapped 3-way
@@ -82,6 +84,11 @@ PANEL_INSTANCES = 2
 DEEP_PANELS = [(family, 100) for family in ("E1", "E2", "E3", "E4")]
 DEEP_STAGES = 40
 DEEP_HEURISTICS = ("H1", "H2", "H3")
+#: deeper 3-way panels, (family, stages, processors): long bottleneck
+#: intervals whose 3-way rankings hold thousands of candidates
+DEEPER_PANELS = [("E1", 120, 12), ("E3", 100, 100)]
+DEEPER_HEURISTICS = ("H2", "H3")
+DEEPER_THRESHOLDS = 6
 #: scenarios per communication-homogeneous family
 FAMILY_SCENARIOS = 3
 N_THRESHOLDS = 9
@@ -121,12 +128,12 @@ def _instances():
     return out
 
 
-def _thresholds(app, platform) -> tuple[list[float], list[float]]:
+def _thresholds(app, platform, n=N_THRESHOLDS) -> tuple[list[float], list[float]]:
     """Period and latency grids reaching below and above the reachable range."""
     best = SplittingMonoPeriod().run(app, platform, period_bound=1e-9)
     single = SplittingMonoPeriod().run(app, platform, period_bound=1e300)
-    periods = np.linspace(0.9 * best.period, 1.05 * single.period, N_THRESHOLDS)
-    latencies = np.linspace(0.95 * single.latency, 1.1 * best.latency, N_THRESHOLDS)
+    periods = np.linspace(0.9 * best.period, 1.05 * single.period, n)
+    latencies = np.linspace(0.95 * single.latency, 1.1 * best.latency, n)
     return [float(x) for x in periods], [float(x) for x in latencies]
 
 
@@ -143,12 +150,18 @@ def compute_digests() -> dict[str, str]:
     digests: dict[str, str] = {}
     heuristics = _heuristics()
     deep = [(key, h) for key, h in heuristics if key in DEEP_HEURISTICS]
-    cases = [(instance, heuristics) for instance in _instances()] + [
-        (instance, deep)
+    deeper = [(key, h) for key, h in heuristics if key in DEEPER_HEURISTICS]
+    cases = [(instance, heuristics, N_THRESHOLDS) for instance in _instances()] + [
+        (instance, deep, N_THRESHOLDS)
         for instance in _panel_instances(DEEP_PANELS, DEEP_STAGES, 200)
     ]
-    for (label, app, platform), cell_heuristics in cases:
-        periods, latencies = _thresholds(app, platform)
+    for i, (family, n_stages, p) in enumerate(DEEPER_PANELS):
+        cases += [
+            (instance, deeper, DEEPER_THRESHOLDS)
+            for instance in _panel_instances([(family, p)], n_stages, 300 + i)
+        ]
+    for (label, app, platform), cell_heuristics, n_thresholds in cases:
+        periods, latencies = _thresholds(app, platform, n_thresholds)
         for key, heuristic in cell_heuristics:
             fixed_period = heuristic.objective == Objective.MIN_LATENCY_FOR_PERIOD
             for t, bound in enumerate(periods if fixed_period else latencies):

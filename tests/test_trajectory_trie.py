@@ -212,7 +212,7 @@ def _turning_points(app, platform, rule, budget=40):
             if node.child(None) is None:
                 continue
             _, ranking = node._split
-            limits = sorted(set((-ranking.neg_floor).tolist()))
+            limits = sorted({-floor for floor in ranking.neg_floor})
             floors.update(limits)
             frontier.extend(node.child(limit) for limit in limits)
     return sorted(floors), sorted(periods)
