@@ -57,7 +57,10 @@ cache-smoke:
 ## stream runs three times: on the default kernels (the compiled engine
 ## wherever it validated), under REPRO_KERNELS_DISABLE=all (numpy, as on a
 ## host without a compiler) and on a 2-worker pool (instance tables built
-## inside the workers); the three stdout reports must be byte-identical
+## inside the workers); the three stdout reports must be byte-identical.
+## A last leg runs seeds 0 and 1 pooled in one process, so the second run
+## reuses the first one's warm workers; each report must match the serial
+## report of its seed
 fuzz-smoke:
 	rm -rf .fuzz-smoke && mkdir -p .fuzz-smoke
 	$(PYTHON) -m repro.cli fuzz --count 100 --seed 0 --corpus fuzz-counterexamples \
@@ -71,6 +74,14 @@ fuzz-smoke:
 		--corpus fuzz-counterexamples \
 		> .fuzz-smoke/pooled.txt || { cat .fuzz-smoke/pooled.txt; exit 1; }
 	cmp .fuzz-smoke/default.txt .fuzz-smoke/pooled.txt
+	$(PYTHON) -m repro.cli fuzz --count 100 --seed 1 --corpus fuzz-counterexamples \
+		> .fuzz-smoke/seed1.txt || { cat .fuzz-smoke/seed1.txt; exit 1; }
+	$(PYTHON) -c 'from repro.scenarios import render_fuzz_report, run_fuzz; \
+		[open(f".fuzz-smoke/warm{s}.txt", "w").write( \
+			render_fuzz_report(run_fuzz(count=100, seed=s, workers=2)) + "\n") \
+		for s in (0, 1)]'
+	cmp .fuzz-smoke/default.txt .fuzz-smoke/warm0.txt
+	cmp .fuzz-smoke/seed1.txt .fuzz-smoke/warm1.txt
 	rm -rf .fuzz-smoke
 
 ## heterogeneous-only fuzz slice: glob family selection, exercises the

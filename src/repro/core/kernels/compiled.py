@@ -126,6 +126,14 @@ def unavailable_reason() -> str | None:
 
 
 def reset() -> None:
-    """Forget the cached selection (tests flip ``REPRO_KERNELS_DISABLE``)."""
+    """Forget the cached selection (tests flip ``REPRO_KERNELS_DISABLE``).
+
+    Warm pool workers hold the old verdict and environment, so the shared
+    pools are retired too: the next pooled map forks workers that inherit
+    the current ones.
+    """
+    from ...utils.parallel import retire_shared_pools
+
     global _STATE
     _STATE = None
+    retire_shared_pools()

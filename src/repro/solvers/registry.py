@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from ..core import kernels
 from ..core.exceptions import ConfigurationError
 from ..heuristics.base import PipelineHeuristic
+from ..utils.parallel import retire_shared_pools
 from ..utils.validation import suggest_names
 from .base import Capability, Objective, SolveRequest, SolveResult, SolverFamily
 
@@ -333,6 +334,8 @@ def register_solver(spec: SolverSpec) -> SolverSpec:
     _REGISTRY[spec.name] = spec
     for handle in handles:
         _LOOKUP[_normalise(handle)] = spec.name
+    # solvers pickle by name: workers forked before now could not resolve it
+    retire_shared_pools()
     return spec
 
 

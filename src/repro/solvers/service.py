@@ -208,11 +208,11 @@ def solve_many(
         A :class:`~repro.cache.store.SolveCache`.  ``None`` disables
         memoisation (deduplication still applies).
     pool:
-        A persistent :class:`~repro.utils.parallel.WorkerPool` to ship the
-        cache misses through instead of the per-call pool — the solver
-        daemon holds one across requests so batches never re-pay worker
-        start-up.  When given, the pool's worker count wins over
-        ``workers=``; results stay byte-identical either way.
+        A :class:`~repro.utils.parallel.WorkerPool` to ship the cache
+        misses through instead of :func:`~repro.utils.parallel.parallel_map`'s
+        shared pool — the solver daemon holds its own across requests.
+        When given, the pool's worker count wins over ``workers=``;
+        results stay byte-identical either way.
 
     Every solver asks one question per instance here, so no task is ever
     frontier-routed: this is the per-threshold reference path.

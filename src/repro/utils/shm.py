@@ -13,10 +13,12 @@ replaces that with an **instance arena**:
   one :class:`InstanceShipment` catalog;
 * tasks carry an :class:`InstanceRef` — a digest string — instead of the
   objects;
-* each worker receives the shipment once, through the pool initializer
-  (:func:`repro.utils.parallel.parallel_map` forks its workers, so they
-  inherit the bytes without pickling them), and rehydrates every digest
-  **at most once** per worker process, memoising the pair.
+* the shipment is the map's ``payload``: :mod:`repro.utils.parallel`
+  pickles it once per map, every chunk carries the bytes, and a warm
+  worker installs it only when they differ from the shipment it already
+  holds;
+* each worker rehydrates every digest **at most once** per installed
+  shipment, memoising the pair.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class InstanceRef:
 
 @dataclass(frozen=True)
 class InstanceShipment:
-    """The per-worker catalog of an arena (sent via the pool initializer).
+    """The per-worker catalog of an arena (a map's ``payload``).
 
     ``catalog`` maps each instance digest to ``(app_payload,
     platform_payload, app_name, platform_name)``; ``size`` is the total
@@ -103,7 +105,7 @@ class InstanceArena:
         return InstanceRef(digest)
 
     def shipment(self) -> InstanceShipment:
-        """The catalog to hand each worker through the pool initializer."""
+        """The catalog to hand the pool as the map's ``payload``."""
         return self._shipment
 
 

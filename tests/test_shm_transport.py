@@ -12,8 +12,9 @@ Contracts under test:
 * rehydrated instances are exact: the canonical JSON payloads round-trip
   the float values bit for bit, so pooled reports stay byte-identical to
   serial ones;
-* the mapped function travels through the pool **initializer**, never
-  inside task tuples (the historical once-per-chunk pickling);
+* the mapped function is pickled in the parent, once per map: an
+  unpicklable one fails there, naming the function, while the serial path
+  still maps closures;
 * ``available_cpus`` respects the scheduler affinity mask, so cgroup- or
   ``taskset``-restricted jobs size their pools by their actual allowance.
 """
@@ -200,18 +201,22 @@ class TestShipOnce:
             assert set(counts) <= fresh
             assert all(count == 1 for count in counts.values())
 
-    def test_mapped_function_never_rides_in_task_tuples(self):
-        """An unpicklable closure maps fine: it travels by initializer.
-
-        Under the historical transport every chunk carried ``(fn, items)``
-        and pickling the closure would raise; the initializer path inherits
-        it through ``fork`` without ever serialising it.
-        """
+    def test_unpicklable_function_fails_in_the_parent_naming_it(self):
+        """A pooled map pickles its function in the parent, once per map:
+        a closure fails there, before any chunk is sent, and the error
+        names it."""
         offset = 17
-        results = parallel_map(
-            lambda x: x + offset, list(range(40)), workers=2, batch_size=4
-        )
-        assert results == [x + offset for x in range(40)]
+        with pytest.raises(pickle.PicklingError, match="<lambda>"):
+            parallel_map(lambda x: x + offset, list(range(40)), workers=2, batch_size=4)
+
+    def test_serial_path_maps_closures(self):
+        """Nothing is pickled on the serial path: closures map fine there."""
+        offset = 17
+        for workers in (None, 1):
+            assert parallel_map(
+                lambda x: x + offset, list(range(40)), workers=workers
+            ) == [x + offset for x in range(40)]
+        assert parallel_map(lambda x: x + offset, [3], workers=2) == [20]
 
 
 # ----------------------------------------------------------------------------- #

@@ -5,7 +5,8 @@ the ctypes C kernel.  Contracts under test, each with a worker that
 SIGKILLs itself mid-map:
 
 * :func:`~repro.utils.parallel.parallel_map` raises
-  :class:`~concurrent.futures.process.BrokenProcessPool`;
+  :class:`~concurrent.futures.process.BrokenProcessPool`, and the next
+  ``parallel_map`` forks fresh shared workers and returns the serial answer;
 * :class:`~repro.utils.parallel.WorkerPool` raises too, and the next
   :meth:`~repro.utils.parallel.WorkerPool.map` on the same pool forks fresh
   workers and returns the serial answer — also after a worker died while
@@ -13,6 +14,9 @@ SIGKILLs itself mid-map:
 * a ``workers=2`` daemon answers every request of the affected batch with
   an error, answers the next request exactly like ``solve_many``, and its
   ``stats`` op still answers.
+
+* a parent SIGKILLed after its maps leaves no worker behind: those of the
+  shared ``parallel_map`` pool and of a ``WorkerPool`` exit on their own.
 
 Each case runs as a script in its own process session under a hard
 timeout: a pool that waits forever for the dead worker's result fails the
@@ -25,6 +29,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,10 +57,27 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.utils.parallel import parallel_map
 
+items = list(range(10, 30))
 try:
     parallel_map(square_or_die, range(8), workers=2, batch_size=1)
 except BrokenProcessPool:
     print("broken")
+assert parallel_map(square_or_die, items, workers=2) == [square_or_die(x) for x in items]
+print("respawned")
+"""
+
+_ORPHAN_SCRIPT = _PRELUDE + """
+import sys
+
+from repro.utils import parallel
+from repro.utils.parallel import WorkerPool, parallel_map
+
+parallel_map(square_or_die, range(10, 30), workers=2)
+pool = WorkerPool(workers=2)
+pool.map(square_or_die, range(10, 30))
+pids = [*parallel._SHARED[2]._executor._processes, *pool._executor._processes]
+print(*pids, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
 """
 
 _WORKER_POOL_SCRIPT = _PRELUDE + """
@@ -193,10 +215,51 @@ def _run(script: str) -> list[str]:
     return stdout.splitlines()
 
 
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:  # reaped meanwhile
+        return True
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 class TestWorkerDeath:
     def test_parallel_map_raises_broken_pool(self):
-        assert _run(_PARALLEL_MAP_SCRIPT) == ["broken"]
+        assert _run(_PARALLEL_MAP_SCRIPT) == ["broken", "respawned"]
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the parent script never killed itself")
+        assert process.returncode == -signal.SIGKILL, stderr
+        pids = [int(pid) for pid in stdout.split()]
+        assert len(pids) == 4
+        deadline = time.monotonic() + 5.0
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if not _gone(pid)]
+        for pid in alive:  # do not leave them behind either way
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"workers {alive} outlived their parent"
 
     def test_worker_pool_raises_then_respawns(self):
         assert _run(_WORKER_POOL_SCRIPT) == [
